@@ -5,13 +5,12 @@ from .codes import (
     LinearCode,
     build_parity_check,
     classic_hamming,
-    codewords_with_unit_at,
     dual_codewords,
     import_generator,
     odd_weight_column_count,
     systematic_hamming,
 )
-from .fields import FieldElement, FieldMatrix, Rational, in_span, rref
+from .fields import FieldMatrix, Rational, in_span, rref
 from .hypergraph import (
     Edge,
     Hypergraph,
@@ -29,8 +28,6 @@ from .recovery import (
     StructureReport,
     build_recovery_system,
     count_by_nonsystematic_nodes,
-    recovery_sets_general,
-    recovery_sets_systematic,
     structure_report,
 )
 from .srr import (

@@ -49,12 +49,13 @@ def _symbols_arg(text: str, k: int) -> list[int]:
     return [_symbol_token(t, k) for t in text.split(",")]
 
 
-def _instance(args, code: codes.LinearCode) -> srr.SrrInstance:
-    capacity = parse_rational(getattr(args, "capacity", "1") or "1")
+def _load_instance(args) -> srr.SrrInstance:
+    """The code file ``args.code`` as a region instance at ``args.capacity``."""
+    code = _load_code(args.code)
+    capacity = parse_rational(args.capacity or "1")
     if capacity <= 0:
         raise ValueError("capacity must be positive")
-    cap = getattr(args, "cap", None)
-    return srr.SrrInstance.for_code(code, capacity, cap)
+    return srr.SrrInstance.for_code(code, capacity)
 
 
 def _cmd_gen(args) -> dict:
@@ -79,13 +80,13 @@ def _cmd_import(args) -> dict:
 
 def _cmd_recovery(args) -> dict:
     code = _load_code(args.code)
-    system = recovery.build_recovery_system(code, args.cap)
+    system = recovery.build_recovery_system(code)
     return system.to_json_dict()
 
 
 def _cmd_stats(args) -> dict:
     code = _load_code(args.code)
-    system = recovery.build_recovery_system(code, args.cap)
+    system = recovery.build_recovery_system(code)
     graph = hg.from_recovery_system(system)
     if args.symbols:
         graph = hg.partial_hypergraph(graph, _symbols_arg(args.symbols, code.k))
@@ -93,9 +94,8 @@ def _cmd_stats(args) -> dict:
 
 
 def _cmd_check(args) -> dict:
-    code = _load_code(args.code)
-    instance = _instance(args, code)
-    demand = srr.parse_demand(args.demand, code.k)
+    instance = _load_instance(args)
+    demand = srr.parse_demand(args.demand, instance.code.k)
     member, allocation = srr.membership(instance, demand, args.pivot_limit)
     out = {"member": member}
     out["allocation"] = allocation.to_json_list() if member else None
@@ -103,11 +103,11 @@ def _cmd_check(args) -> dict:
 
 
 def _cmd_max(args) -> dict:
-    code = _load_code(args.code)
-    instance = _instance(args, code)
+    instance = _load_instance(args)
+    k = instance.code.k
     weights = [parse_rational(t) for t in args.weights.split(",")]
-    if len(weights) != code.k:
-        raise ValueError(f"expected {code.k} weights, got {len(weights)}")
+    if len(weights) != k:
+        raise ValueError(f"expected {k} weights, got {len(weights)}")
     value, demand, allocation = srr.max_objective(instance, weights, args.pivot_limit)
     return {
         "value": format_rational(value),
@@ -117,10 +117,9 @@ def _cmd_max(args) -> dict:
 
 
 def _cmd_lambda_star(args) -> dict:
-    code = _load_code(args.code)
-    instance = _instance(args, code)
+    instance = _load_instance(args)
     if args.symbol:
-        i = _symbol_token(args.symbol, code.k)
+        i = _symbol_token(args.symbol, instance.code.k)
         value = srr.lambda_star(instance, i, args.pivot_limit)
         return {"symbol": i, "value": format_rational(value)}
     stars = srr.lambda_star_vector(instance, args.pivot_limit)
@@ -128,22 +127,19 @@ def _cmd_lambda_star(args) -> dict:
 
 
 def _cmd_delta(args) -> dict:
-    code = _load_code(args.code)
-    instance = _instance(args, code)
+    instance = _load_instance(args)
     return {"delta": format_rational(srr.delta_simplex(instance, args.pivot_limit))}
 
 
 def _cmd_subset(args) -> dict:
-    code = _load_code(args.code)
-    instance = _instance(args, code)
-    subset = _symbols_arg(args.symbols, code.k)
+    instance = _load_instance(args)
+    subset = _symbols_arg(args.symbols, instance.code.k)
     return srr.subset_bound(instance, subset, args.pivot_limit).to_json_dict()
 
 
 def _cmd_waterfill(args) -> dict:
-    code = _load_code(args.code)
-    instance = _instance(args, code)
-    demand = srr.parse_demand(args.demand, code.k)
+    instance = _load_instance(args)
+    demand = srr.parse_demand(args.demand, instance.code.k)
     allocation, served, residual = srr.waterfill(
         instance, demand, args.max_events
     )
@@ -182,9 +178,8 @@ def _cmd_verify(args) -> dict:
 
 
 def _cmd_slice(args) -> str:
-    code = _load_code(args.code)
-    instance = _instance(args, code)
-    k = code.k
+    instance = _load_instance(args)
+    k = instance.code.k
     axes = _symbols_arg(args.axes, k)
     if len(set(axes)) != len(axes):
         raise ValueError("axes must be distinct")
@@ -235,16 +230,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, code_arg=True):
-        if code_arg:
-            p.add_argument("code", help="code JSON file (from gen or import)")
-        p.add_argument("--out", help="write output here instead of stdout")
-        p.add_argument(
-            "--pivot-limit",
-            type=int,
-            default=None,
-            help="LP pivot ceiling (also via SRRHAM_PIVOT_LIMIT)",
-        )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("code", help="code JSON file (from gen or import)")
+    common.add_argument("--out", help="write output here instead of stdout")
+    common.add_argument(
+        "--pivot-limit",
+        type=int,
+        default=None,
+        help="LP pivot ceiling (also via SRRHAM_PIVOT_LIMIT)",
+    )
+    region = argparse.ArgumentParser(add_help=False, parents=[common])
+    region.add_argument("--capacity", default="1")
 
     p = sub.add_parser("gen", help="construct a Hamming code")
     p.add_argument("-r", type=int, required=True)
@@ -262,56 +258,48 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_import)
 
-    p = sub.add_parser("recovery", help="enumerate the minimum recovery system")
-    add_common(p)
-    p.add_argument("--cap", type=int, default=None, help="search size cap")
+    p = sub.add_parser(
+        "recovery", parents=[common], help="enumerate the minimum recovery system"
+    )
     p.set_defaults(func=_cmd_recovery)
 
-    p = sub.add_parser("stats", help="matching/transversal/fractional numbers")
-    add_common(p)
-    p.add_argument("--cap", type=int, default=None)
+    p = sub.add_parser(
+        "stats", parents=[common], help="matching/transversal/fractional numbers"
+    )
     p.add_argument("--symbols", help="restrict to these data symbols (partial)")
     p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("check", help="is a demand vector servable?")
-    add_common(p)
+    p = sub.add_parser("check", parents=[region], help="is a demand vector servable?")
     p.add_argument("--demand", required=True, help='rates like "1,1,1/3,2"')
-    p.add_argument("--capacity", default="1")
-    p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("max", help="maximize a weighted sum of service rates")
-    add_common(p)
+    p = sub.add_parser(
+        "max", parents=[region], help="maximize a weighted sum of service rates"
+    )
     p.add_argument("--weights", required=True)
-    p.add_argument("--capacity", default="1")
-    p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=_cmd_max)
 
-    p = sub.add_parser("lambda-star", help="largest single-object rate")
-    add_common(p)
+    p = sub.add_parser(
+        "lambda-star", parents=[region], help="largest single-object rate"
+    )
     p.add_argument("--symbol", help="one symbol (default: all)")
-    p.add_argument("--capacity", default="1")
-    p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=_cmd_lambda_star)
 
-    p = sub.add_parser("delta", help="largest uniform simplex in the region")
-    add_common(p)
-    p.add_argument("--capacity", default="1")
-    p.add_argument("--cap", type=int, default=None)
+    p = sub.add_parser(
+        "delta", parents=[region], help="largest uniform simplex in the region"
+    )
     p.set_defaults(func=_cmd_delta)
 
-    p = sub.add_parser("subset", help="ceiling on a subset's total rate")
-    add_common(p)
+    p = sub.add_parser(
+        "subset", parents=[region], help="ceiling on a subset's total rate"
+    )
     p.add_argument("--symbols", required=True, help='e.g. "a,b,c" or "1,2,3"')
-    p.add_argument("--capacity", default="1")
-    p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=_cmd_subset)
 
-    p = sub.add_parser("waterfill", help="greedy request-splitting allocation")
-    add_common(p)
+    p = sub.add_parser(
+        "waterfill", parents=[region], help="greedy request-splitting allocation"
+    )
     p.add_argument("--demand", required=True)
-    p.add_argument("--capacity", default="1")
-    p.add_argument("--cap", type=int, default=None)
     p.add_argument("--max-events", type=int, default=10000)
     p.set_defaults(func=_cmd_waterfill)
 
@@ -331,14 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pivot-limit", type=int, default=None)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("slice", help="CSV membership grid over chosen axes")
-    add_common(p)
+    p = sub.add_parser(
+        "slice", parents=[region], help="CSV membership grid over chosen axes"
+    )
     p.add_argument("--axes", required=True, help='e.g. "a,b,c"')
     p.add_argument("--fix", help='e.g. "d=0,e=1/2"')
     p.add_argument("--max", required=True)
     p.add_argument("--step", required=True)
-    p.add_argument("--capacity", default="1")
-    p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=_cmd_slice)
 
     return parser

@@ -19,9 +19,6 @@ from typing import Optional, Sequence
 
 from .fields import FieldMatrix, is_prime, kernel_basis, rank
 
-DISTANCE_BRUTE_CAP = 2 ** 20
-
-
 def hamming_length(r: int, q: int) -> int:
     return (q ** r - 1) // (q - 1)
 
@@ -49,9 +46,8 @@ class LinearCode:
 
     ``systematic_positions`` lists, for each data symbol i, the 1-based
     generator column equal to a nonzero multiple of e_i; it is None when no
-    full set of k such columns exists.  ``distances_assumed`` marks d/d_dual
-    taken from the closed forms instead of brute-force enumeration (only
-    happens when q^k exceeds the enumeration cap).
+    full set of k such columns exists.  ``d`` and ``d_dual`` are the closed
+    forms 3 and q^(r-1), which the Hamming property checked on import fixes.
     """
 
     q: int
@@ -63,11 +59,6 @@ class LinearCode:
     systematic_positions: Optional[tuple[int, ...]]
     d: int
     d_dual: int
-    distances_assumed: bool
-
-    def __post_init__(self) -> None:
-        if not self.generator.mul(self.parity_check.transpose()).is_zero():
-            raise ValueError("generator and parity check are not orthogonal")
 
     def systematic_column(self, symbol: int) -> Optional[int]:
         """1-based column storing data symbol ``symbol`` uncoded, if any."""
@@ -186,72 +177,29 @@ def scaled_unit_columns(generator: FieldMatrix) -> dict[int, int]:
     return out
 
 
-def _min_weight_binary(rows: list[tuple[int, ...]]) -> int:
-    masks = []
-    for row in rows:
-        m = 0
-        for v in row:
-            m = (m << 1) | (v & 1)
-        masks.append(m)
-    words = [0]
-    for m in masks:
-        words += [w ^ m for w in words]
-    return min(w.bit_count() for w in words if w)
-
-
-def _min_weight_general(rows: list[tuple[int, ...]], q: int) -> int:
-    words = [tuple([0] * len(rows[0]))]
-    for row in rows:
-        scaled = [tuple((a * row[j]) % q for j in range(len(row))) for a in range(q)]
-        words = [
-            tuple((w[j] + s[j]) % q for j in range(len(w)))
-            for w in words
-            for s in scaled
-        ]
-    return min(sum(1 for v in w if v) for w in words if any(w))
-
-
-def _min_weight(matrix: FieldMatrix) -> int:
-    rows = list(matrix.entries)
-    if matrix.q == 2:
-        return _min_weight_binary(rows)
-    return _min_weight_general(rows, matrix.q)
-
-
 def _finish_code(
     generator: FieldMatrix,
     parity_check: FieldMatrix,
     q: int,
     r: int,
     systematic_positions: Optional[tuple[int, ...]],
-    distance_cap: int = DISTANCE_BRUTE_CAP,
 ) -> LinearCode:
-    n, k = generator.cols, generator.rows
-    d_dual = _min_weight(parity_check)
-    if q ** k <= distance_cap:
-        d = _min_weight(generator)
-        assumed = False
-    else:
-        d = 3
-        assumed = True
     return LinearCode(
         q=q,
         r=r,
-        n=n,
-        k=k,
+        n=generator.cols,
+        k=generator.rows,
         generator=generator,
         parity_check=parity_check,
         systematic_positions=systematic_positions,
-        d=d,
-        d_dual=d_dual,
-        distances_assumed=assumed,
+        d=3,
+        d_dual=q ** (r - 1),
     )
 
 
 def import_generator(
     entries: Sequence[Sequence[int]],
     q: int,
-    distance_cap: int = DISTANCE_BRUTE_CAP,
     parity_check: Optional[FieldMatrix] = None,
 ) -> LinearCode:
     """Accept an arbitrary k x n generator matrix of a Hamming code.
@@ -297,7 +245,7 @@ def import_generator(
         if all(i in unit_cols for i in range(1, k + 1))
         else None
     )
-    return _finish_code(generator, parity_check, q, r, positions, distance_cap)
+    return _finish_code(generator, parity_check, q, r, positions)
 
 
 @functools.lru_cache(maxsize=None)
@@ -312,13 +260,6 @@ def dual_codewords(code: LinearCode) -> tuple[Codeword, ...]:
             tuple((w[j] + s[j]) % q for j in range(n)) for w in words for s in scaled
         ]
     return tuple(Codeword.from_entries(w) for w in words)
-
-
-def codewords_with_unit_at(code: LinearCode, i: int) -> list[Codeword]:
-    """Dual codewords with a 1 in coordinate i (1-based)."""
-    if not 1 <= i <= code.n:
-        raise ValueError(f"coordinate {i} out of range 1..{code.n}")
-    return [c for c in dual_codewords(code) if c.entries[i - 1] == 1]
 
 
 def odd_weight_columns(matrix: FieldMatrix) -> list[int]:

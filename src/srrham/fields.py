@@ -1,9 +1,8 @@
-"""Exact arithmetic foundations: prime-field scalars and matrices, rationals.
+"""Exact arithmetic foundations: prime-field matrices and rationals.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.  Matrices store
-plain ints (fully reduced mod q); ``FieldElement`` wraps a single scalar for
-callers that want checked arithmetic.  Rationals are ``fractions.Fraction``:
+plain ints (fully reduced mod q).  Rationals are ``fractions.Fraction``:
 arbitrary precision, always in lowest terms, never floats.
 """
 
@@ -48,46 +47,6 @@ def format_rational(x: Fraction) -> str:
 
 
 @dataclass(frozen=True)
-class FieldElement:
-    """A fully reduced element of the prime field GF(q)."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.modulus):
-            raise ValueError(f"modulus {self.modulus} is not prime")
-        if not 0 <= self.value < self.modulus:
-            raise ValueError(f"value {self.value} not reduced mod {self.modulus}")
-
-    def _same_field(self, other: "FieldElement") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError(
-                f"modulus mismatch: {self.modulus} vs {other.modulus}"
-            )
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._same_field(other)
-        return FieldElement((self.value + other.value) % self.modulus, self.modulus)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._same_field(other)
-        return FieldElement((self.value - other.value) % self.modulus, self.modulus)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._same_field(other)
-        return FieldElement((self.value * other.value) % self.modulus, self.modulus)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement((-self.value) % self.modulus, self.modulus)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError(f"no inverse for 0 in GF({self.modulus})")
-        return FieldElement(pow(self.value, -1, self.modulus), self.modulus)
-
-
-@dataclass(frozen=True)
 class FieldMatrix:
     """Dense matrix over GF(q); entries are ints in [0, q) sharing one modulus."""
 
@@ -126,9 +85,6 @@ class FieldMatrix:
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
-
-    def element(self, i: int, j: int) -> FieldElement:
-        return FieldElement(self.entries[i][j], self.q)
 
     def select_columns(self, indices: Sequence[int]) -> "FieldMatrix":
         return FieldMatrix(self.q, tuple(tuple(row[j] for j in indices) for row in self.entries))

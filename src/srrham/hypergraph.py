@@ -73,29 +73,25 @@ def partial_hypergraph(h: Hypergraph, labels: Iterable[int]) -> Hypergraph:
     return Hypergraph(h.vertex_count, tuple(e for e in h.edges if e.label in keep))
 
 
-def _cover_upper_bound(edge_masks: list[int], members: list[tuple[int, ...]]) -> int:
-    """Size of a greedy transversal: forced singleton vertices, then max degree.
+def _greedy_cover(edge_masks: list[int], members: list[tuple[int, ...]]) -> list[int]:
+    """A greedy transversal: forced singleton vertices, then max degree.
 
-    Any transversal bounds any matching from above, so this bounds packings.
+    Any transversal bounds any matching from above, so its size bounds
+    packings; it is also the incumbent for the exact transversal search.
     """
-    remaining = list(range(len(edge_masks)))
-    count = 0
-    forced = _mask(
-        sorted({members[i][0] for i in remaining if len(members[i]) == 1})
-    )
-    if forced:
-        count = forced.bit_count()
-        remaining = [i for i in remaining if not edge_masks[i] & forced]
+    cover = sorted({m[0] for m in members if len(m) == 1})
+    forced = _mask(cover)
+    remaining = [i for i in range(len(edge_masks)) if not edge_masks[i] & forced]
     while remaining:
         degree: dict[int, int] = {}
         for i in remaining:
             for v in members[i]:
                 degree[v] = degree.get(v, 0) + 1
         v = min(degree, key=lambda x: (-degree[x], x))
+        cover.append(v)
         vb = 1 << (v - 1)
         remaining = [i for i in remaining if not edge_masks[i] & vb]
-        count += 1
-    return count
+    return cover
 
 
 def matching_number(h: Hypergraph) -> tuple[int, tuple[Edge, ...]]:
@@ -120,8 +116,8 @@ def matching_number(h: Hypergraph) -> tuple[int, tuple[Edge, ...]]:
                 best = len(chosen)
                 best_idx = list(chosen)
             return
-        bound = len(chosen) + _cover_upper_bound(
-            [masks[i] for i in cands], [members[i] for i in cands]
+        bound = len(chosen) + len(
+            _greedy_cover([masks[i] for i in cands], [members[i] for i in cands])
         )
         if bound <= best:
             return
@@ -144,23 +140,7 @@ def transversal_number(h: Hypergraph) -> tuple[int, tuple[int, ...]]:
     masks = [_mask(e.members) for e in edges]
     members = [e.members for e in edges]
 
-    # Greedy cover for the initial incumbent.
-    cover: list[int] = []
-    remaining = list(range(len(edges)))
-    forced = sorted({members[i][0] for i in remaining if len(members[i]) == 1})
-    if forced:
-        cover.extend(forced)
-        fb = _mask(forced)
-        remaining = [i for i in remaining if not masks[i] & fb]
-    while remaining:
-        degree: dict[int, int] = {}
-        for i in remaining:
-            for v in members[i]:
-                degree[v] = degree.get(v, 0) + 1
-        v = min(degree, key=lambda x: (-degree[x], x))
-        cover.append(v)
-        vb = 1 << (v - 1)
-        remaining = [i for i in remaining if not masks[i] & vb]
+    cover = _greedy_cover(masks, members)
     best = len(cover)
     best_cover = sorted(cover)
 

@@ -1,23 +1,23 @@
 """Minimum recovery sets per data symbol.
 
-For a code with a full set of systematic columns, the dual codewords give the
-recovery system directly: symbol i is served by its systematic column s_i as
-a singleton, and by Supp(c) \\ {s_i} for every dual codeword c with c_{s_i}=1
-(scalar multiples contribute the same support and are skipped).  For an
-arbitrary generator matrix there is no such shortcut, so we fall back to an
-exhaustive increasing-size search for inclusion-minimal spanning subsets,
-bounded by a size cap.  Both paths emit sets in canonical (size, lexicographic)
-order, 1-based, so results are deterministic.
+A node set R recovers symbol i exactly when some y with supp(y) inside R
+solves G.y = e_i.  Those solutions form the coset y0 + C^perp of the dual
+(simplex) code, q^r vectors in all, so the minimum recovery sets of symbol i
+are the inclusion-minimal supports in that coset: the circuits through e_i of
+the vector matroid of [G | e_i] (Oxley, *Matroid Theory*).  One algorithm
+serves every generator matrix; the dual-codeword shortcut for a systematic
+column s_i is the special case y0 = e_{s_i}.  Sets are emitted in canonical
+(size, lexicographic) order, 1-based, so results are deterministic.
 """
 
 from __future__ import annotations
 
-import itertools
+import bisect
 from dataclasses import dataclass
 from typing import Optional
 
-from .codes import LinearCode, dual_codewords
-from .fields import in_span
+from .codes import Codeword, LinearCode, dual_codewords
+from .fields import FieldMatrix, in_span, rref
 
 RecoverySet = tuple[int, ...]
 
@@ -28,7 +28,6 @@ class RecoverySystem:
 
     code: LinearCode
     per_symbol: tuple[tuple[RecoverySet, ...], ...]
-    minimality_cap: Optional[int]
 
     def sets_for(self, symbol: int) -> tuple[RecoverySet, ...]:
         if not 1 <= symbol <= self.code.k:
@@ -47,156 +46,83 @@ class RecoverySystem:
         }
 
 
-def _canonical(sets) -> list[RecoverySet]:
-    return sorted(set(sets), key=lambda s: (len(s), s))
-
-
-def recovery_sets_systematic(code: LinearCode, symbol: int) -> list[RecoverySet]:
-    """Minimum recovery sets of one symbol via the dual-codeword fast path."""
-    if code.systematic_positions is None:
-        raise ValueError(
-            "code has no full systematic column set; use recovery_sets_general"
-        )
-    if not 1 <= symbol <= code.k:
-        raise ValueError(f"symbol {symbol} out of range 1..{code.k}")
-    s = code.systematic_positions[symbol - 1]
-    sets = {(s,)}
-    for c in dual_codewords(code):
-        if c.entries[s - 1] == 1:
-            sets.add(tuple(v for v in c.support if v != s))
-    return _canonical(sets)
-
-
-def _gf2_column_masks(code: LinearCode) -> list[int]:
-    masks = []
-    for j in range(code.n):
-        m = 0
-        for i, v in enumerate(code.generator.column(j)):
-            if v:
-                m |= 1 << i
-        masks.append(m)
-    return masks
-
-
-def _gf2_spans(vectors: list[int], target: int) -> bool:
-    lead: dict[int, int] = {}
-    for v in vectors:
-        while v:
-            l = v.bit_length() - 1
-            if l in lead:
-                v ^= lead[l]
-            else:
-                lead[l] = v
-                break
-    t = target
-    while t:
-        l = t.bit_length() - 1
-        if l not in lead:
-            return False
-        t ^= lead[l]
-    return True
-
-
-def _gfq_spans(columns: list[tuple[int, ...]], target: tuple[int, ...], q: int) -> bool:
-    k = len(target)
-    rows = [[col[i] for col in columns] + [target[i]] for i in range(k)]
-    ncols = len(columns)
-    r = 0
-    for c in range(ncols + 1):
-        pivot = None
-        for i in range(r, k):
-            if rows[i][c] % q != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if c == ncols:
-            return False
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], -1, q)
-        rows[r] = [(v * inv) % q for v in rows[r]]
-        for i in range(k):
-            if i != r and rows[i][c] % q != 0:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % q for a, b in zip(rows[i], rows[r])]
-        r += 1
-    return True
-
-
-def recovery_sets_general(
-    code: LinearCode, symbol: int, cap: int
-) -> list[RecoverySet]:
-    """All inclusion-minimal recovery sets of size <= cap, by exhaustive search.
-
-    Subsets are scanned by increasing size with superset pruning, so every
-    emitted set is minimal and, within the cap, the enumeration is complete.
-    Cost grows as sum-of-binomials; intended for n <= 15 or modest caps.
-    """
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    if not 1 <= symbol <= code.k:
-        raise ValueError(f"symbol {symbol} out of range 1..{code.k}")
-    n = code.n
-    found: list[RecoverySet] = []
-    found_masks: list[int] = []
-    if code.q == 2:
-        col_masks = _gf2_column_masks(code)
-        target = 1 << (symbol - 1)
-        for size in range(1, min(cap, n) + 1):
-            for combo in itertools.combinations(range(n), size):
-                cmask = 0
-                for j in combo:
-                    cmask |= 1 << j
-                if any(fm & cmask == fm for fm in found_masks):
-                    continue
-                if _gf2_spans([col_masks[j] for j in combo], target):
-                    found.append(tuple(j + 1 for j in combo))
-                    found_masks.append(cmask)
-    else:
-        cols = [code.generator.column(j) for j in range(n)]
-        target = tuple(1 if i == symbol - 1 else 0 for i in range(code.k))
-        for size in range(1, min(cap, n) + 1):
-            for combo in itertools.combinations(range(n), size):
-                cmask = 0
-                for j in combo:
-                    cmask |= 1 << j
-                if any(fm & cmask == fm for fm in found_masks):
-                    continue
-                if _gfq_spans([cols[j] for j in combo], target, code.q):
-                    found.append(tuple(j + 1 for j in combo))
-                    found_masks.append(cmask)
-    return _canonical(found)
-
-
-def build_recovery_system(
-    code: LinearCode, cap: Optional[int] = None
-) -> RecoverySystem:
+def build_recovery_system(code: LinearCode) -> RecoverySystem:
     """Minimum recovery system for every data symbol.
 
-    Uses the dual-codeword path whenever the code has a full systematic column
-    set; otherwise runs the general search with ``cap`` (default n, i.e.
-    complete minimal enumeration, which can be slow for long codes).
+    One ``rref`` of [G | I_k], with G's columns taken lightest first, yields
+    for every symbol i a solution y0 of G.y = e_i supported on the pivot
+    columns.  Each coset element y0 + c (c a dual codeword) is edited from
+    c's cached support at the positions in supp(y0); candidates are scanned
+    by increasing size and kept unless they contain a kept support of
+    strictly smaller size.
     """
-    if code.systematic_positions is not None:
-        per = tuple(
-            tuple(recovery_sets_systematic(code, i)) for i in range(1, code.k + 1)
-        )
-        return RecoverySystem(code, per, None)
-    used_cap = cap if cap is not None else code.n
-    per = tuple(
-        tuple(recovery_sets_general(code, i, used_cap))
-        for i in range(1, code.k + 1)
+    q, n, k = code.q, code.n, code.k
+    rows = code.generator.entries
+    # Lightest columns first: unit columns become pivots, so y0 is supported
+    # on s alone whenever symbol i has a systematic column s.
+    order = sorted(range(n), key=lambda j: sum(1 for row in rows if row[j]))
+    augmented = FieldMatrix(
+        q,
+        tuple(
+            tuple(row[j] for j in order) + tuple(1 if t == i else 0 for t in range(k))
+            for i, row in enumerate(rows)
+        ),
     )
-    return RecoverySystem(code, per, used_cap)
+    reduced, pivots, _ = rref(augmented)
+    words = dual_codewords(code)
+    word_masks = [sum(1 << (v - 1) for v in c.support) for c in words]
+    per = []
+    for i in range(k):
+        y0 = [
+            (order[p], reduced.entries[t][n + i])
+            for t, p in enumerate(pivots)
+            if reduced.entries[t][n + i]
+        ]
+        # Coset supports by size, one entry per distinct support.
+        by_size: dict[int, dict[int, Codeword]] = {}
+        for c, mask in zip(words, word_masks):
+            size = len(c.support)
+            for p, v in y0:
+                if not c.entries[p]:
+                    size += 1
+                    mask |= 1 << p
+                elif (c.entries[p] + v) % q == 0:
+                    size -= 1
+                    mask ^= 1 << p
+            by_size.setdefault(size, {})[mask] = c
+        kept_masks: list[int] = []
+        sets: list[RecoverySet] = []
+        for size in sorted(by_size):
+            level = []
+            # Masks of one size are distinct, so none contains another.
+            for mask, c in by_size[size].items():
+                for m in kept_masks:
+                    if m & mask == m:
+                        break
+                else:
+                    kept_masks.append(mask)
+                    members = list(c.support)
+                    for p, v in y0:
+                        if not c.entries[p]:
+                            bisect.insort(members, p + 1)
+                        elif (c.entries[p] + v) % q == 0:
+                            members.remove(p + 1)
+                    level.append(tuple(members))
+            level.sort()
+            sets.extend(level)
+        per.append(tuple(sets))
+    return RecoverySystem(code, tuple(per))
 
 
 def validate_recovery_system(system: RecoverySystem) -> None:
     """Independent soundness/minimality re-check of every emitted set.
 
     Soundness solves the span membership through the generic matrix path
-    (not the search's internal elimination).  Minimality is certified by
-    checking all one-element-smaller subsets, which suffices: if any proper
-    subset spanned the target, some co-dimension-1 subset would too.
+    (not the coset enumeration).  Minimality needs no subset scan: ``in_span``
+    gives every non-pivot column coefficient 0, so all coefficients are
+    nonzero exactly when the set's columns are independent and each one is
+    needed; a set with dependent columns is never minimal, because a
+    dependency lets one column drop out of the solution.
     """
     code = system.code
     gen = code.generator
@@ -211,16 +137,11 @@ def validate_recovery_system(system: RecoverySystem) -> None:
                 raise ValueError(f"set {members} not strictly ascending")
             if members[0] < 1 or members[-1] > code.n:
                 raise ValueError(f"set {members} out of range 1..{code.n}")
-            cols = gen.select_columns([m - 1 for m in members])
-            if in_span(cols, target) is None:
+            coeffs = in_span(gen.select_columns([m - 1 for m in members]), target)
+            if coeffs is None:
                 raise ValueError(f"set {members} does not recover symbol {i}")
-            for drop in range(len(members)):
-                sub = members[:drop] + members[drop + 1 :]
-                if not sub:
-                    continue
-                cols = gen.select_columns([m - 1 for m in sub])
-                if in_span(cols, target) is not None:
-                    raise ValueError(f"set {members} is not minimal for symbol {i}")
+            if not all(coeffs):
+                raise ValueError(f"set {members} is not minimal for symbol {i}")
         for a in sets:
             for b in sets:
                 if a != b and set(a) <= set(b):

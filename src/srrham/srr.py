@@ -66,10 +66,8 @@ class SrrInstance:
             raise ValueError("capacity must be positive")
 
     @classmethod
-    def for_code(
-        cls, code: LinearCode, capacity=_ONE, cap: Optional[int] = None
-    ) -> "SrrInstance":
-        return cls(code, build_recovery_system(code, cap), Fraction(capacity))
+    def for_code(cls, code: LinearCode, capacity=_ONE) -> "SrrInstance":
+        return cls(code, build_recovery_system(code), Fraction(capacity))
 
     def variables(self) -> list[tuple[int, RecoverySet]]:
         """Canonical (symbol, recovery set) order shared by all LPs here."""

@@ -1,7 +1,7 @@
 """Shared fixtures: the worked-example matrices and prebuilt instances.
 
-Session scope keeps the expensive objects (recovery systems, codes with
-brute-forced distances) shared across the whole run.
+Session scope keeps the expensive objects (codes, recovery systems, region
+instances and hypergraphs) shared across the whole run.
 """
 
 from __future__ import annotations

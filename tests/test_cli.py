@@ -194,6 +194,18 @@ def test_missing_file_exits_2(capsys):
     assert "error:" in err
 
 
+def test_non_orthogonal_parity_check_exits_2(tmp_path, capsys):
+    path = gen_file(tmp_path, "gen", "-r", "3", "-q", "2", "--systematic")
+    data = json.loads(open(path).read())
+    data["parity_check"][0][0] ^= 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    rc, out, err = run_cli(capsys, "recovery", str(bad))
+    assert rc == 2
+    assert out == ""
+    assert "does not match" in err
+
+
 def test_bad_subcommand_exits_2(capsys):
     rc = cli.main(["frobnicate"])
     capsys.readouterr()

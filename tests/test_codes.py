@@ -6,6 +6,7 @@ from srrham import codes
 from srrham.fields import FieldMatrix, in_span, rank
 
 from conftest import CLASSIC_G_32, CLASSIC_H_32, GPRIME, NONSYS_G
+from oracles import min_weight
 
 
 def test_build_parity_check_r3_q2_counting_order():
@@ -74,17 +75,15 @@ def test_orthogonality_and_ranks(r, q):
 @pytest.mark.parametrize("r,q", [(3, 2), (4, 2), (3, 3)])
 def test_minimum_distances_by_brute_force(r, q):
     c = codes.systematic_hamming(r, q)
-    assert not c.distances_assumed
-    assert c.d == 3
-    assert c.d_dual == q ** (r - 1)
+    assert c.d == min_weight(c.generator) == 3
+    assert c.d_dual == min_weight(c.parity_check) == q ** (r - 1)
 
 
 def test_ham52_distances_assumed_from_closed_form():
     c = codes.systematic_hamming(5, 2)
-    assert c.distances_assumed
     assert (c.d, c.d_dual) == (3, 16)
-    # The dual distance is still brute-forced (only 2^r words); spot-check d:
-    # pairwise independent parity-check columns rule out weights 1 and 2.
+    # Spot-check d: pairwise independent parity-check columns rule out
+    # weights 1 and 2.
     reps = {c.parity_check.column(j) for j in range(c.n)}
     assert len(reps) == c.n and all(any(col) for col in reps)
 
@@ -124,6 +123,15 @@ def test_import_rejects_non_hamming():
         codes.import_generator(rows, 2)
 
 
+def test_import_rejects_non_orthogonal_parity_check():
+    data = codes.systematic_hamming(3, 2).to_json_dict()
+    # Full rank, but row 1 of the parity check is not orthogonal to G.
+    data["parity_check"][0][0] ^= 1
+    assert rank(FieldMatrix.from_rows(data["parity_check"], 2)) == 3
+    with pytest.raises(ValueError, match="does not match"):
+        codes.code_from_json_dict(data)
+
+
 def test_import_rejects_repeated_column_code():
     # Right length (7 = 2^3 - 1) but a repeated parity-check column.
     c = codes.classic_hamming(3, 2)
@@ -148,20 +156,6 @@ def test_dual_codewords_single_weight(r, q, nonzero_weight):
     zero_words = [w for w in words if w.weight == 0]
     assert len(zero_words) == 1
     assert all(w.weight == nonzero_weight for w in words if w.weight)
-
-
-def test_codewords_with_unit_at_counts(classic32, sys42, sys33):
-    assert len(codes.codewords_with_unit_at(classic32, 3)) == 4
-    for i in (1, 8, 15):
-        assert len(codes.codewords_with_unit_at(sys42, i)) == 8
-    # Enumerate all 27 ternary dual words and count directly: the oracle.
-    words = codes.dual_codewords(sys33)
-    assert len(words) == 27
-    for i in (1, 5, 13):
-        direct = sum(1 for w in words if w.entries[i - 1] == 1)
-        assert len(codes.codewords_with_unit_at(sys33, i)) == direct == 9
-    with pytest.raises(ValueError):
-        codes.codewords_with_unit_at(classic32, 8)
 
 
 def test_odd_weight_column_count(nonsys, classic32, sys42):

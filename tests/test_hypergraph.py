@@ -29,7 +29,7 @@ def test_from_recovery_system_edge_counts(classic32_graph, nonsys_graph):
 
 
 def test_empty_system_gives_edgeless_graph(classic32):
-    empty = recovery.RecoverySystem(classic32, ((), (), (), ()), None)
+    empty = recovery.RecoverySystem(classic32, ((), (), (), ()))
     graph = hg.from_recovery_system(empty)
     assert graph.vertex_count == 7
     assert graph.edges == ()

@@ -1,58 +1,44 @@
 import math
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from srrham import codes, recovery
 
 from conftest import CLASSIC_RECOVERY, NONSYS_RECOVERY
+from oracles import equivalent_generator, exhaustive_recovery_sets
 
 
 def test_systematic_path_classic_symbol_lists(classic32):
-    got_a = recovery.recovery_sets_systematic(classic32, 1)
-    assert set(got_a) == CLASSIC_RECOVERY[1]
-    got_d = recovery.recovery_sets_systematic(classic32, 4)
-    assert set(got_d) == CLASSIC_RECOVERY[4]
+    system = recovery.build_recovery_system(classic32)
+    assert set(system.sets_for(1)) == CLASSIC_RECOVERY[1]
+    assert set(system.sets_for(4)) == CLASSIC_RECOVERY[4]
 
 
 def test_systematic_path_counts_r4(sys42):
+    system = recovery.build_recovery_system(sys42)
     for i in (1, 6, 11):
-        sets = recovery.recovery_sets_systematic(sys42, i)
+        sets = system.sets_for(i)
         assert len(sets) == 9
         assert sorted(len(s) for s in sets) == [1] + [7] * 8
 
 
-def test_systematic_path_rejects_nonsystematic(nonsys):
-    with pytest.raises(ValueError, match="general"):
-        recovery.recovery_sets_systematic(nonsys, 1)
-
-
 def test_general_path_nonsystematic_lists(nonsys):
-    got_a = recovery.recovery_sets_general(nonsys, 1, 7)
-    assert set(got_a) == NONSYS_RECOVERY[1]
-    got_c = recovery.recovery_sets_general(nonsys, 3, 7)
-    assert set(got_c) == NONSYS_RECOVERY[3]
-
-
-def test_general_path_small_cap_returns_partial(nonsys):
-    only_small = recovery.recovery_sets_general(nonsys, 1, 2)
-    assert set(only_small) == {(1, 7), (2, 4), (3, 5)}
+    assert set(exhaustive_recovery_sets(nonsys, 1)) == NONSYS_RECOVERY[1]
+    assert set(exhaustive_recovery_sets(nonsys, 3)) == NONSYS_RECOVERY[3]
 
 
 def test_fast_equals_general_all_symbols_r3_r4(classic32, sys42):
-    # cap = q^(r-1) - 1 suffices by the size law; a larger cap must not
-    # surface any further minimal sets.
-    for code, caps in ((classic32, (3, 7)), (sys42, (7,))):
-        for cap in caps:
-            for i in range(1, code.k + 1):
-                fast = recovery.recovery_sets_systematic(code, i)
-                general = recovery.recovery_sets_general(code, i, cap)
-                assert fast == general
+    for code in (classic32, sys42):
+        system = recovery.build_recovery_system(code)
+        for i in range(1, code.k + 1):
+            assert list(system.sets_for(i)) == exhaustive_recovery_sets(code, i)
 
 
 def test_fast_equals_general_one_symbol_ternary(sys33):
-    fast = recovery.recovery_sets_systematic(sys33, 1)
-    general = recovery.recovery_sets_general(sys33, 1, 8)
-    assert fast == general
+    system = recovery.build_recovery_system(sys33)
+    assert list(system.sets_for(1)) == exhaustive_recovery_sets(sys33, 1)
 
 
 def test_build_recovery_system_golden(classic32):
@@ -89,6 +75,22 @@ def test_soundness_and_minimality(classic32, sys42, nonsys, sys33):
     for code in (classic32, sys42, nonsys, sys33):
         system = recovery.build_recovery_system(code)
         recovery.validate_recovery_system(system)
+
+
+def test_validate_rejects_unsound_and_non_minimal_sets(classic32):
+    def check(sets_for_a):
+        system = recovery.RecoverySystem(classic32, (sets_for_a, (), (), ()))
+        recovery.validate_recovery_system(system)
+
+    check(((3,), (1, 5, 7)))
+    with pytest.raises(ValueError, match="does not recover"):
+        check(((1, 5),))
+    # Recovers symbol a, but (3,) alone already does.
+    with pytest.raises(ValueError, match="not minimal"):
+        check(((1, 3),))
+    # Five columns of a rank-4 generator are dependent, so never minimal.
+    with pytest.raises(ValueError, match="not minimal"):
+        check(((1, 2, 4, 6, 7),))
 
 
 def test_canonical_ordering_and_json(classic32):
@@ -155,3 +157,48 @@ def test_repetition_code_smoke():
     code = codes.systematic_hamming(2, 2)
     system = recovery.build_recovery_system(code)
     assert system.per_symbol == (((1,), (2,), (3,)),)
+
+
+def _scrambled(r, q, rng):
+    """A random equivalent generator with no full systematic column set."""
+    base = codes.systematic_hamming(r, q)
+    generator = equivalent_generator(base.generator, rng)
+    code = codes.import_generator(generator.to_lists(), q)
+    assume(code.systematic_positions is None)
+    return code
+
+
+_property = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@settings(_property, max_examples=25)
+@given(rng=st.randoms(use_true_random=False))
+def test_coset_system_equals_oracle_ham32(rng):
+    code = _scrambled(3, 2, rng)
+    system = recovery.build_recovery_system(code)
+    for i in range(1, code.k + 1):
+        assert list(system.sets_for(i)) == exhaustive_recovery_sets(code, i)
+
+
+@pytest.mark.parametrize("r,q", [(4, 2), (3, 3)])
+@settings(_property, max_examples=2)
+@given(rng=st.randoms(use_true_random=False))
+def test_coset_system_equals_oracle_sampled(r, q, rng):
+    code = _scrambled(r, q, rng)
+    system = recovery.build_recovery_system(code)
+    i = rng.randrange(1, code.k + 1)
+    assert list(system.sets_for(i)) == exhaustive_recovery_sets(code, i)
+
+
+@pytest.mark.parametrize("r,q", [(5, 2), (4, 3)])
+@settings(_property, max_examples=1)
+@given(rng=st.randoms(use_true_random=False))
+def test_coset_system_is_valid_on_long_codes(r, q, rng):
+    code = _scrambled(r, q, rng)
+    system = recovery.build_recovery_system(code)
+    # Validating every symbol of Ham(4,3) takes seconds; a sample bounds it.
+    keep = set(rng.sample(range(1, code.k + 1), 6))
+    sampled = tuple(
+        sets if i in keep else () for i, sets in enumerate(system.per_symbol, 1)
+    )
+    recovery.validate_recovery_system(recovery.RecoverySystem(code, sampled))
