@@ -52,7 +52,7 @@ def _symbols_arg(text: str, k: int) -> list[int]:
 def _load_instance(args) -> srr.SrrInstance:
     """The code file ``args.code`` as a region instance at ``args.capacity``."""
     code = _load_code(args.code)
-    capacity = parse_rational(args.capacity or "1")
+    capacity = parse_rational(args.capacity)
     if capacity <= 0:
         raise ValueError("capacity must be positive")
     return srr.SrrInstance.for_code(code, capacity)

@@ -178,18 +178,13 @@ def fractional_matching_number(
 ) -> tuple[Fraction, dict[Edge, Fraction]]:
     """Exact LP optimum of max sum of edge weights, per-vertex load <= 1."""
     edges = h.canonical_edges()
-    if not edges:
-        return Fraction(0), {}
-    constraints = []
-    for v in range(1, h.vertex_count + 1):
-        coeffs = [Fraction(1 if v in e.members else 0) for e in edges]
-        constraints.append((coeffs, lp.LE, Fraction(1)))
-    problem = lp.LpProblem.maximize([Fraction(1)] * len(edges), constraints)
-    outcome = lp.solve(problem, pivot_limit)
-    if outcome.status != lp.OPTIMAL:
-        raise RuntimeError(f"fractional matching LP ended {outcome.status}")
-    weights = dict(zip(edges, outcome.solution))
-    return outcome.value, weights
+    value, solution = lp.max_packing(
+        ([v - 1 for v in e.members] for e in edges),
+        [Fraction(1)] * h.vertex_count,
+        [Fraction(1)] * len(edges),
+        pivot_limit,
+    )
+    return value, dict(zip(edges, solution))
 
 
 def validate_matching(h: Hypergraph, chosen: Iterable[Edge]) -> bool:

@@ -90,21 +90,6 @@ class LpOutcome:
     solution: Optional[tuple[Fraction, ...]] = None
 
 
-def evaluate_constraints(problem: LpProblem, solution: Sequence[Fraction]) -> bool:
-    """Exact check that a point satisfies every constraint and x >= 0."""
-    if any(x < 0 for x in solution):
-        return False
-    for c in problem.constraints:
-        lhs = sum((a * x for a, x in zip(c.coeffs, solution)), _ZERO)
-        if c.relation == LE and lhs > c.rhs:
-            return False
-        if c.relation == GE and lhs < c.rhs:
-            return False
-        if c.relation == EQ and lhs != c.rhs:
-            return False
-    return True
-
-
 def _resolve_pivot_limit(pivot_limit: Optional[int]) -> int:
     if pivot_limit is not None:
         return pivot_limit
@@ -316,6 +301,30 @@ def solve(problem: LpProblem, pivot_limit: Optional[int] = None) -> LpOutcome:
     x = tab.solution()
     value = sum((c * v for c, v in zip(problem.objective, x)), _ZERO)
     return LpOutcome(OPTIMAL, value, x)
+
+
+def max_packing(
+    columns: Iterable[Iterable[int]],
+    rhs: Sequence,
+    weights: Sequence,
+    pivot_limit: Optional[int] = None,
+) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Exact optimum and vertex of: maximize weights . x, A.x <= rhs, x >= 0.
+
+    Item j of ``columns`` lists the rows where column j of the 0/1 matrix A
+    has a 1 (a generator keeps one alive at a time).  Every region LP has this
+    shape; rhs >= 0 makes the slack basis feasible, so phase 1 is skipped.
+    """
+    dense = [[0] * len(weights) for _ in rhs]
+    for j, rows in enumerate(columns):
+        for r in rows:
+            dense[r][j] = 1
+    problem = LpProblem.maximize(weights, zip(dense, [LE] * len(rhs), rhs))
+    del dense  # the problem holds its own rows; free these before solving
+    outcome = solve(problem, pivot_limit)
+    if outcome.status != OPTIMAL:
+        raise RuntimeError(f"packing LP ended {outcome.status}")
+    return outcome.value, outcome.solution
 
 
 def check_feasible(

@@ -122,7 +122,8 @@ def validate_recovery_system(system: RecoverySystem) -> None:
     gives every non-pivot column coefficient 0, so all coefficients are
     nonzero exactly when the set's columns are independent and each one is
     needed; a set with dependent columns is never minimal, because a
-    dependency lets one column drop out of the solution.
+    dependency lets one column drop out of the solution.  This also rules out
+    nested sets a < b: b's unique solution would be supported on a.
     """
     code = system.code
     gen = code.generator
@@ -142,10 +143,6 @@ def validate_recovery_system(system: RecoverySystem) -> None:
                 raise ValueError(f"set {members} does not recover symbol {i}")
             if not all(coeffs):
                 raise ValueError(f"set {members} is not minimal for symbol {i}")
-        for a in sets:
-            for b in sets:
-                if a != b and set(a) <= set(b):
-                    raise ValueError(f"{a} is a subset of {b} for symbol {i}")
 
 
 @dataclass(frozen=True)

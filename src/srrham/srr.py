@@ -2,13 +2,14 @@
 
 A demand vector (lambda_1..lambda_k) is servable when the per-symbol rates can
 be split across that symbol's recovery sets without loading any storage node
-beyond its capacity.  Membership, linear maximization, per-symbol maxima, the
-subset bounds, and the waterfilling policy all reduce to exact rational LPs or
-exact event simulation over the minimum recovery system; restricting to
-minimum recovery sets loses nothing because any larger recovery set can only
-load more nodes for the same service.
+beyond its capacity.  Every LP query here is one fractional packing,
+``_region_lp``: linear maximization, per-symbol maxima and subset bounds use
+the n capacity rows; ``max_served`` adds k demand ceilings; and a demand is a
+member iff ``max_served`` serves all of it.  Waterfilling is exact event
+simulation.  Restricting to minimum recovery sets loses nothing because any
+larger recovery set can only load more nodes for the same service.
 
-Every allocation produced here is re-validated by direct arithmetic,
+Every allocation produced here is validated once by direct arithmetic,
 independently of the solver that produced it.
 """
 
@@ -98,9 +99,19 @@ class Allocation:
         return tuple(loads)
 
     def validate(
-        self, instance: SrrInstance, demand: Optional[Sequence[Fraction]] = None
+        self,
+        instance: SrrInstance,
+        demand: Optional[Sequence[Fraction]] = None,
+        *,
+        ceiling: Optional[Sequence[Fraction]] = None,
+        weights: Optional[Sequence[Fraction]] = None,
+        value: Optional[Fraction] = None,
     ) -> None:
-        """Exact re-check of the allocation equations; raises on violation."""
+        """Exact re-check of an allocation; raises on violation.
+
+        Besides the capacities: service must equal ``demand``, stay within
+        ``ceiling``, and be worth ``value`` under ``weights`` (default all 1).
+        """
         code = instance.code
         for (i, members), w in self.weights.items():
             if w < 0:
@@ -114,10 +125,15 @@ class Allocation:
                 raise ValueError(
                     f"node {v} overloaded: {load} > {instance.capacity}"
                 )
-        if demand is not None:
-            got = self.served(code.k)
-            if tuple(got) != tuple(demand):
-                raise ValueError(f"served {got} != demand {tuple(demand)}")
+        got = self.served(code.k)
+        if demand is not None and got != tuple(demand):
+            raise ValueError(f"served {got} != demand {tuple(demand)}")
+        if ceiling is not None and any(s > c for s, c in zip(got, ceiling)):
+            raise ValueError(f"served {got} exceeds demand {tuple(ceiling)}")
+        if value is not None:
+            worth = sum((w * s for w, s in zip(weights or [_ONE] * code.k, got)), _ZERO)
+            if worth != value:
+                raise ValueError(f"witness is worth {worth}, not the value {value}")
 
     def to_json_list(self) -> list[dict]:
         items = sorted(self.weights.items(), key=lambda kv: (kv[0][0], kv[0][1]))
@@ -128,18 +144,25 @@ class Allocation:
         ]
 
 
-def _capacity_rows(instance: SrrInstance, variables) -> list:
-    rows = []
-    for v in range(1, instance.code.n + 1):
-        coeffs = [_ONE if v in members else _ZERO for _, members in variables]
-        rows.append((coeffs, lp.LE, instance.capacity))
-    return rows
-
-
-def _allocation_from_solution(variables, solution) -> Allocation:
-    return Allocation(
-        {var: w for var, w in zip(variables, solution) if w != 0}
+def _region_lp(
+    instance: SrrInstance,
+    weights: Sequence[Fraction],
+    demand: Optional[Sequence[Fraction]] = None,
+    pivot_limit: Optional[int] = None,
+) -> tuple[Fraction, Allocation]:
+    """Maximize sum_i weights_i * served_i.  Rows: the k demand ceilings (if a
+    demand is given), then the n node capacities; columns: ``variables()``."""
+    variables = instance.variables()
+    ceilings = [] if demand is None else list(demand)
+    m = len(ceilings)
+    columns = (
+        ([i - 1] if m else []) + [m + v - 1 for v in members]
+        for i, members in variables
     )
+    rhs = ceilings + [instance.capacity] * instance.code.n
+    objective = [weights[i - 1] for i, _ in variables]
+    value, solution = lp.max_packing(columns, rhs, objective, pivot_limit)
+    return value, Allocation({var: w for var, w in zip(variables, solution) if w})
 
 
 def membership(
@@ -147,28 +170,15 @@ def membership(
     demand: Sequence[Fraction],
     pivot_limit: Optional[int] = None,
 ) -> tuple[bool, Optional[Allocation]]:
-    """Is the demand vector servable?  Feasibility of the allocation LP.
+    """Is the demand vector servable?  Yes iff ``max_served`` serves sum(demand).
 
-    On success the returned allocation is an exact witness, re-validated
-    against the demand and capacity equations before being handed back.
+    Service never exceeds demand in any symbol, so the total reaches
+    sum(demand) only when every symbol is served in full; the witness that
+    ``max_served`` validated is then an exact allocation of the demand.
     """
-    code = instance.code
-    if len(demand) != code.k:
-        raise ValueError(f"demand length {len(demand)} != k = {code.k}")
-    if any(x < 0 for x in demand):
-        raise ValueError("demand rates must be nonnegative")
-    variables = instance.variables()
-    rows = []
-    for i in range(1, code.k + 1):
-        coeffs = [_ONE if vi == i else _ZERO for vi, _ in variables]
-        rows.append((coeffs, lp.EQ, Fraction(demand[i - 1])))
-    rows.extend(_capacity_rows(instance, variables))
-    problem = lp.LpProblem.maximize([_ZERO] * len(variables), rows)
-    feasible, solution = lp.check_feasible(problem, pivot_limit)
-    if not feasible:
+    value, allocation = max_served(instance, demand, pivot_limit)
+    if value != sum(demand, _ZERO):
         return False, None
-    allocation = _allocation_from_solution(variables, solution)
-    allocation.validate(instance, demand)
     return True, allocation
 
 
@@ -183,15 +193,9 @@ def max_objective(
         raise ValueError(f"weights length {len(weights)} != k = {code.k}")
     if all(w == 0 for w in weights):
         raise ValueError("weights must not be all zero")
-    variables = instance.variables()
-    objective = [Fraction(weights[i - 1]) for i, _ in variables]
-    problem = lp.LpProblem.maximize(objective, _capacity_rows(instance, variables))
-    outcome = lp.solve(problem, pivot_limit)
-    if outcome.status != lp.OPTIMAL:
-        raise RuntimeError(f"maximization LP ended {outcome.status}")
-    allocation = _allocation_from_solution(variables, outcome.solution)
-    allocation.validate(instance)
-    return outcome.value, allocation.served(code.k), allocation
+    value, allocation = _region_lp(instance, weights, pivot_limit=pivot_limit)
+    allocation.validate(instance, weights=weights, value=value)
+    return value, allocation.served(code.k), allocation
 
 
 def lambda_star(
@@ -229,19 +233,13 @@ def max_served(
 ) -> tuple[Fraction, Allocation]:
     """Largest total rate servable without exceeding the given per-symbol demand."""
     code = instance.code
-    variables = instance.variables()
-    rows = []
-    for i in range(1, code.k + 1):
-        coeffs = [_ONE if vi == i else _ZERO for vi, _ in variables]
-        rows.append((coeffs, lp.LE, Fraction(demand[i - 1])))
-    rows.extend(_capacity_rows(instance, variables))
-    problem = lp.LpProblem.maximize([_ONE] * len(variables), rows)
-    outcome = lp.solve(problem, pivot_limit)
-    if outcome.status != lp.OPTIMAL:
-        raise RuntimeError(f"bounded-service LP ended {outcome.status}")
-    allocation = _allocation_from_solution(variables, outcome.solution)
-    allocation.validate(instance)
-    return outcome.value, allocation
+    if len(demand) != code.k:
+        raise ValueError(f"demand length {len(demand)} != k = {code.k}")
+    if any(x < 0 for x in demand):
+        raise ValueError("demand rates must be nonnegative")
+    value, allocation = _region_lp(instance, [_ONE] * code.k, demand, pivot_limit)
+    allocation.validate(instance, ceiling=demand, value=value)
+    return value, allocation
 
 
 @dataclass(frozen=True)

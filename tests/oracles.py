@@ -1,15 +1,19 @@
-"""Brute-force reference computations that the package no longer carries.
+"""Reference computations that the package no longer carries.
 
-Each oracle enumerates its whole search space and shares no code with the
-algorithm it checks, so agreement is evidence that both are right.  The cost
-grows exponentially, so they are meant for short codes only.
+The brute-force oracles enumerate their whole search space and share no code
+with the algorithm they check, so agreement is evidence that both are right.
+Their cost grows exponentially, so they are meant for short codes only.  The
+phase-1 membership LP shares only the simplex core with the package.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
+from typing import Sequence
 
+from srrham import lp
 from srrham.codes import LinearCode
 from srrham.fields import FieldMatrix
 
@@ -142,3 +146,44 @@ def equivalent_generator(generator: FieldMatrix, rng: random.Random) -> FieldMat
     return FieldMatrix.from_rows(
         [[(scales[j] * row[order[j]]) % q for j in range(n)] for row in mixed], q
     )
+
+
+def evaluate_constraints(problem: lp.LpProblem, solution: Sequence[Fraction]) -> bool:
+    """Exact check that a point satisfies every constraint and x >= 0."""
+    if any(x < 0 for x in solution):
+        return False
+    for c in problem.constraints:
+        lhs = sum((a * x for a, x in zip(c.coeffs, solution)), Fraction(0))
+        if c.relation == lp.LE and lhs > c.rhs:
+            return False
+        if c.relation == lp.GE and lhs < c.rhs:
+            return False
+        if c.relation == lp.EQ and lhs != c.rhs:
+            return False
+    return True
+
+
+def phase1_membership(instance, demand) -> tuple[bool, dict | None]:
+    """Membership as plain feasibility: k equality rows (service = demand),
+    then n capacity rows, solved by phase 1 of the simplex alone.
+
+    This is the formulation the package used before every region query
+    became one packing LP; it shares only the simplex core with it.
+    Returns the verdict and, for members, the feasible point as
+    {(symbol, set): weight}.
+    """
+    code = instance.code
+    variables = instance.variables()
+    rows = []
+    for i in range(1, code.k + 1):
+        coeffs = [1 if vi == i else 0 for vi, _ in variables]
+        rows.append((coeffs, lp.EQ, Fraction(demand[i - 1])))
+    for v in range(1, code.n + 1):
+        coeffs = [1 if v in members else 0 for _, members in variables]
+        rows.append((coeffs, lp.LE, instance.capacity))
+    problem = lp.LpProblem.maximize([0] * len(variables), rows)
+    feasible, point = lp.check_feasible(problem)
+    if not feasible:
+        return False, None
+    assert evaluate_constraints(problem, point)
+    return True, {var: w for var, w in zip(variables, point) if w}

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from srrham import cli, lp
 
@@ -179,6 +182,82 @@ def test_slice_command(tmp_path, capsys):
         "2,0,0,1,1",
         "4,0,0,1,0",
     ]
+
+
+def test_empty_capacity_exits_2(tmp_path, capsys):
+    path = gen_file(tmp_path, "gen", "-r", "3", "-q", "2")
+    rc, out, err = run_cli(
+        capsys, "check", path, "--demand", "1,1,1,1", "--capacity", ""
+    )
+    assert rc == 2
+    assert out == ""
+    assert "malformed rational" in err
+
+
+@pytest.fixture(scope="module")
+def pinned_codes(tmp_path_factory):
+    work = tmp_path_factory.mktemp("pinned")
+    files = {"h32": work / "h32.json", "h33": work / "h33.json"}
+    assert cli.main(["gen", "-r", "3", "-q", "2", "--out", str(files["h32"])]) == 0
+    assert cli.main(["gen", "-r", "3", "-q", "3", "--out", str(files["h33"])]) == 0
+    raw = work / "nonsys_in.json"
+    raw.write_text(json.dumps({"q": 2, "generator": NONSYS_G}))
+    files["nonsys"] = work / "nonsys.json"
+    assert cli.main(["import", str(raw), "--out", str(files["nonsys"])]) == 0
+    return {name: str(path) for name, path in files.items()}
+
+
+PINNED_DEMANDS = {
+    "h32": "1,1,1,2",
+    "h33": "1,1/2,1,1/2,1,1/2,1,1/2,1,1/2",
+    "nonsys": "1/2,1/2,1/2,1",
+}
+EMPTY_SHA = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+
+# Exit code and sha256 of stdout for classic Ham(3,2), classic Ham(3,3) and
+# NONSYS_G, recorded before membership moved onto the packing LP.  subset is
+# defined for binary systematic codes only, so two of its runs exit 2.
+@pytest.mark.parametrize(
+    "command,name,rc,sha",
+    [
+        ("check", "h32", 0, "fdf6d64c83fe23829d36b2bd7b147aad002c6fc600cd24664f15a71eca060bdd"),
+        ("max", "h32", 0, "ee72b987fc1d09762a61c3d23598896d13a613ee959ae7ce456c0ee01d6564d9"),
+        ("lambda-star", "h32", 0, "563742ace460cce4d36cd0ef7ea064233231604ef0b93165b15061cbfc5b2be2"),
+        ("subset", "h32", 0, "252347e937b2229b782f98974dd17b8416d1f6188d89dbba43b23ca85890965e"),
+        ("stats", "h32", 0, "56f990d5db6ef9f7ff54d0baa9772995729e5d4e06e27bd6ac5691eda42fb520"),
+        ("verify", "h32", 0, "e1f399c52ea341b6d36c4e9d4b658575f46c3a481bf8e64302f360b595005bce"),
+        ("check", "h33", 0, "31b5298f6074fac16bb2313711027299ebbf729b4ed15a33f8dbce3b8baa7493"),
+        ("max", "h33", 0, "78890816e05fe19609660ff8187602c4c5088a35f2db6ebfe2e76655d26d4b27"),
+        ("lambda-star", "h33", 0, "cfa7895cece4efab79cd6b5d3d89d9767a56ad6d02a5a65bc40d59dce8c10241"),
+        ("subset", "h33", 2, EMPTY_SHA),
+        ("stats", "h33", 0, "f3a1c3f107b3fc53454c5ebaa2266e131f29d0f2a8e47d9c1ecf0d280bae7f8c"),
+        ("verify", "h33", 0, "6baf7cd97d1b55d6b06da40f0a2d135ad34b8982de74571b42d30f88e006ba23"),
+        ("check", "nonsys", 0, "98887c518f98022e3462d8e32e9039e3ad5ee45f741ec4480c4fc1de45bb9e6c"),
+        ("max", "nonsys", 0, "87f99cfa120800b81f96b578c29b6f00f0320c84868a9dd3311b0c3f38b4d050"),
+        ("lambda-star", "nonsys", 0, "ca3d4efd4190a7c25063908b3628b4f3451cedf487dba14cadb8340a0e7e4e87"),
+        ("subset", "nonsys", 2, EMPTY_SHA),
+        ("stats", "nonsys", 0, "d0d082fe1b2abdcbb663678dd00472b81a0fede26dcd78a96ca0442a15438827"),
+        ("verify", "nonsys", 0, "06cb642c382b9042d2a0ec0c29ef95123f52962267617f970e9b869e28d0924b"),
+    ],
+)
+def test_pinned_stdout(pinned_codes, capsys, command, name, rc, sha):
+    path = pinned_codes[name]
+    k = {"h32": 4, "h33": 10, "nonsys": 4}[name]
+    argv = {
+        "check": ["check", path, "--demand", PINNED_DEMANDS[name]],
+        "max": ["max", path, "--weights", ",".join(["1"] * k)],
+        "lambda-star": ["lambda-star", path],
+        "subset": ["subset", path, "--symbols", "a,b,c"],
+        "stats": ["stats", path],
+        "verify": {
+            "h32": ["verify", "-r", "3", "-q", "2"],
+            "h33": ["verify", "-r", "3", "-q", "3"],
+            "nonsys": ["verify", "--code", path],
+        }[name],
+    }[command]
+    got_rc, out, _ = run_cli(capsys, *argv)
+    assert (got_rc, hashlib.sha256(out.encode()).hexdigest()) == (rc, sha)
 
 
 def test_malformed_demand_exits_2(tmp_path, capsys):

@@ -9,6 +9,7 @@ from srrham import hypergraph as hg
 from srrham import recovery, codes
 
 from conftest import NONSYS_G
+from oracles import evaluate_constraints
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +48,7 @@ def brute_lp_max(problem: lp.LpProblem):
         point = _solve_square(rows, rhs)
         if point is None:
             continue
-        if not lp.evaluate_constraints(problem, point):
+        if not evaluate_constraints(problem, point):
             continue
         value = sum(c * x for c, x in zip(problem.objective, point))
         if best is None or value > best:
@@ -80,7 +81,7 @@ def test_equality_constraint():
     out = lp.solve(lp.LpProblem.maximize([1, 0], [([1, 1], lp.EQ, 1)]))
     assert out.status == lp.OPTIMAL
     assert out.value == 1
-    assert lp.evaluate_constraints(
+    assert evaluate_constraints(
         lp.LpProblem.maximize([1, 0], [([1, 1], lp.EQ, 1)]), out.solution
     )
 
@@ -131,7 +132,7 @@ def test_classic_degenerate_cycling_instance_terminates():
     out = lp.solve(problem, pivot_limit=10_000)
     assert out.status == lp.OPTIMAL
     assert out.value == brute_lp_max(problem)
-    assert lp.evaluate_constraints(problem, out.solution)
+    assert evaluate_constraints(problem, out.solution)
 
 
 def test_pivot_limit_is_enforced():
@@ -190,7 +191,7 @@ def test_random_lps_match_vertex_enumeration_oracle():
         else:
             assert out.status == lp.OPTIMAL
             assert out.value == expected
-            assert lp.evaluate_constraints(problem, out.solution)
+            assert evaluate_constraints(problem, out.solution)
             solved += 1
     assert solved > 40  # the mix must actually exercise the optimal path
 

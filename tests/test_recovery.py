@@ -85,9 +85,12 @@ def test_validate_rejects_unsound_and_non_minimal_sets(classic32):
     check(((3,), (1, 5, 7)))
     with pytest.raises(ValueError, match="does not recover"):
         check(((1, 5),))
-    # Recovers symbol a, but (3,) alone already does.
+    # Recovers symbol a, but (3,) alone already does; listed together or not,
+    # the minimality certificate rejects the superset.
     with pytest.raises(ValueError, match="not minimal"):
         check(((1, 3),))
+    with pytest.raises(ValueError, match="not minimal"):
+        check(((3,), (1, 3)))
     # Five columns of a rank-4 generator are dependent, so never minimal.
     with pytest.raises(ValueError, match="not minimal"):
         check(((1, 2, 4, 6, 7),))

@@ -3,9 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from srrham import codes, srr
 from srrham import hypergraph as hg
+
+from oracles import equivalent_generator, phase1_membership
 
 F = Fraction
 
@@ -44,6 +48,75 @@ def test_membership_validates_input(classic32_instance):
         srr.membership(classic32_instance, [F(1)] * 3)
     with pytest.raises(ValueError):
         srr.membership(classic32_instance, [F(-1), 0, 0, 0])
+
+
+def test_max_served_validates_demand(classic32_instance):
+    with pytest.raises(ValueError, match="length 5"):
+        srr.max_served(classic32_instance, [F(1)] * 5)
+    with pytest.raises(ValueError, match="length 3"):
+        srr.max_served(classic32_instance, [F(1)] * 3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        srr.max_served(classic32_instance, [F(-1), 0, 0, 0])
+
+
+def test_each_answer_is_validated_once(classic32_instance, monkeypatch):
+    calls = []
+    validate = srr.Allocation.validate
+
+    def counted(self, *args, **kwargs):
+        calls.append(kwargs)
+        return validate(self, *args, **kwargs)
+
+    monkeypatch.setattr(srr.Allocation, "validate", counted)
+    assert srr.membership(classic32_instance, (1, 1, 1, 2))[0]
+    assert not srr.membership(classic32_instance, (4, 0, 0, 0))[0]
+    srr.max_served(classic32_instance, (4, 0, 0, 0))
+    srr.max_objective(classic32_instance, (1, 1, 1, 1))
+    assert len(calls) == 4
+    assert all("value" in kwargs for kwargs in calls)
+
+
+@pytest.fixture(scope="module")
+def boundary_instances(classic32, nonsys, sys33):
+    """(instance, sum-rate at capacity 1) for the membership property test."""
+    generator = equivalent_generator(
+        codes.systematic_hamming(3, 2).generator, random.Random(3)
+    )
+    scrambled = codes.import_generator(generator.to_lists(), 2)
+    assert scrambled.systematic_positions is None
+    out = []
+    for code in (classic32, nonsys, scrambled, sys33):
+        instance = srr.SrrInstance.for_code(code)
+        out.append((instance, srr.max_objective(instance, [1] * code.k)[0]))
+    return out
+
+
+@settings(
+    deadline=None, max_examples=60, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(data=st.data())
+def test_membership_matches_phase1_oracle(boundary_instances, data):
+    base, sum_rate = data.draw(st.sampled_from(boundary_instances))
+    k = base.code.k
+    capacity = data.draw(
+        st.fractions(F(1, 3), 3, max_denominator=4).filter(lambda c: c != 1)
+    )
+    instance = srr.SrrInstance(base.code, base.system, capacity)
+    direction = data.draw(st.lists(st.integers(0, 4), min_size=k, max_size=k))
+    if not any(direction):
+        direction[0] = 1
+    # Totals from 40% to 140% of the sum-rate straddle the boundary.
+    share = F(data.draw(st.integers(40, 140)), 100)
+    scale = share * sum_rate * capacity / sum(direction)
+    demand = tuple(scale * x for x in direction)
+    member, witness = srr.membership(instance, demand)
+    expected, _ = phase1_membership(instance, demand)
+    event(f"k={k} member={expected}")
+    assert member == expected
+    if member:
+        witness.validate(instance, demand)
+    else:
+        assert witness is None
 
 
 def test_worked_demand_is_servable(classic32_instance):
@@ -218,6 +291,26 @@ def test_allocation_validation_catches_violations(classic32_instance):
     short = srr.Allocation({(1, (3,)): F(1)})
     with pytest.raises(ValueError, match="demand"):
         short.validate(classic32_instance, (2, 0, 0, 0))
+
+
+def test_allocation_validation_checks_ceiling_and_value(classic32_instance):
+    witness = srr.Allocation({(1, (3,)): F(1), (2, (5,)): F(1, 2)})
+    witness.validate(classic32_instance, ceiling=(1, 1, 0, 0), value=F(3, 2))
+    witness.validate(classic32_instance, weights=(0, 2, 0, 0), value=1)
+    with pytest.raises(ValueError, match="exceeds demand"):
+        witness.validate(classic32_instance, ceiling=(F(1, 2), 1, 0, 0))
+    with pytest.raises(ValueError, match="worth 3/2"):
+        witness.validate(classic32_instance, ceiling=(1, 1, 0, 0), value=2)
+    with pytest.raises(ValueError, match="worth 1/2"):
+        witness.validate(classic32_instance, weights=(0, 1, 0, 0), value=F(3, 2))
+
+
+def test_max_served_witness_within_demand_and_value(sys42_instance):
+    demand = (F(5, 2), F(3, 2)) + (F(1, 2),) * 9
+    value, witness = srr.max_served(sys42_instance, demand)
+    served = witness.served(11)
+    assert all(s <= d for s, d in zip(served, demand))
+    assert sum(served) == value < sum(demand)
 
 
 def test_capacity_scaling_law(classic32):
