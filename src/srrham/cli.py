@@ -7,7 +7,9 @@ output.  Rationals are serialized as exact "p/q" strings, never floats.
 
 Exit codes: 0 for a completed computation (including "not a member" answers,
 which are data), 2 for input or validation problems, 3 when a resource
-ceiling (LP pivots, waterfilling events) aborts the run.
+ceiling (LP pivots, waterfilling events) aborts the run, and 4 when an
+internal invariant fails (a solver witness or exactness check: a bug, not
+bad input).
 """
 
 from __future__ import annotations
@@ -342,11 +344,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (lp.PivotLimitError, srr.EventLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except lp.InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
+    except json.JSONDecodeError as exc:  # a ValueError, so it must come first
+        print(f"error: bad JSON input: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, ArithmeticError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: bad JSON input: {exc}", file=sys.stderr)
         return 2
     text = payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n"
     out = getattr(args, "out", None)

@@ -254,13 +254,13 @@ def compute_stats(h: Hypergraph, pivot_limit: Optional[int] = None) -> Hypergrap
     tau, transversal = transversal_number(h)
     mu_f, weights = fractional_matching_number(h, pivot_limit)
     if not validate_matching(h, matching) or len(matching) != nu:
-        raise RuntimeError("matching witness failed validation")
+        raise lp.InvariantError("matching witness failed validation")
     if h.edges and (not validate_transversal(h, transversal) or len(transversal) != tau):
-        raise RuntimeError("transversal witness failed validation")
+        raise lp.InvariantError("transversal witness failed validation")
     if not validate_fractional(h, weights):
-        raise RuntimeError("fractional witness failed validation")
+        raise lp.InvariantError("fractional witness failed validation")
     if sum(weights.values(), Fraction(0)) != mu_f:
-        raise RuntimeError("fractional witness does not sum to mu_f")
+        raise lp.InvariantError("fractional witness does not sum to mu_f")
     if not nu <= mu_f <= tau:
-        raise RuntimeError(f"sandwich violated: {nu} <= {mu_f} <= {tau}")
+        raise lp.InvariantError(f"sandwich violated: {nu} <= {mu_f} <= {tau}")
     return HypergraphStats(nu, tau, mu_f, matching, transversal, weights)

@@ -43,6 +43,10 @@ class PivotLimitError(RuntimeError):
     """Raised when the simplex exceeds its pivot ceiling."""
 
 
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: a bug, never bad input."""
+
+
 @dataclass(frozen=True)
 class Constraint:
     coeffs: tuple[Fraction, ...]
@@ -187,7 +191,7 @@ class _Tableau:
                 for a, b in zip(row, prow):
                     q, rem = divmod(a * p - f * b, d)
                     if rem:
-                        raise ArithmeticError("integer pivot lost exactness")
+                        raise InvariantError("integer pivot lost exactness")
                     new.append(q)
                 row[:] = new
         elif p != d:
@@ -198,7 +202,7 @@ class _Tableau:
                 for a in row:
                     q, rem = divmod(a * p, d)
                     if rem:
-                        raise ArithmeticError("integer pivot lost exactness")
+                        raise InvariantError("integer pivot lost exactness")
                     new.append(q)
                 row[:] = new
 
@@ -230,11 +234,13 @@ class _Tableau:
                         leave, best_rhs, best_a = i, rhs, a
             if leave < 0:
                 return UNBOUNDED
-            self.pivots += 1
-            if self.pivots > pivot_limit:
+            if self.pivots >= pivot_limit:
                 raise PivotLimitError(
-                    f"simplex exceeded the pivot ceiling of {pivot_limit}"
+                    f"simplex exceeded the pivot ceiling of {pivot_limit} "
+                    f"after {self.pivots} pivots on a tableau of "
+                    f"{len(rows)} rows x {self.total} columns"
                 )
+            self.pivots += 1
             self._pivot(leave, enter, z)
 
     def phase1(self, pivot_limit: int) -> bool:
@@ -323,7 +329,7 @@ def max_packing(
     del dense  # the problem holds its own rows; free these before solving
     outcome = solve(problem, pivot_limit)
     if outcome.status != OPTIMAL:
-        raise RuntimeError(f"packing LP ended {outcome.status}")
+        raise InvariantError(f"packing LP ended {outcome.status}")
     return outcome.value, outcome.solution
 
 

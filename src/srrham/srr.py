@@ -9,8 +9,15 @@ member iff ``max_served`` serves all of it.  Waterfilling is exact event
 simulation.  Restricting to minimum recovery sets loses nothing because any
 larger recovery set can only load more nodes for the same service.
 
+Per-symbol maxima and subset bounds go one step further and keep only the
+sets of the symbols their objective rewards: a set of any other symbol has
+weight 0, adds nothing to the objective and only takes node capacity, so
+dropping it keeps the optimum.  ``max_objective`` keeps every set, because
+its whole optimal point is reported.
+
 Every allocation produced here is validated once by direct arithmetic,
-independently of the solver that produced it.
+independently of the solver that produced it; a witness that fails its check
+raises ``lp.InvariantError``, since that is a bug and not bad input.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from . import hypergraph as hg
 from . import lp
@@ -70,12 +77,16 @@ class SrrInstance:
     def for_code(cls, code: LinearCode, capacity=_ONE) -> "SrrInstance":
         return cls(code, build_recovery_system(code), Fraction(capacity))
 
-    def variables(self) -> list[tuple[int, RecoverySet]]:
-        """Canonical (symbol, recovery set) order shared by all LPs here."""
+    def variables(
+        self, symbols: Optional[Collection[int]] = None
+    ) -> list[tuple[int, RecoverySet]]:
+        """Canonical (symbol, recovery set) order shared by all LPs here,
+        keeping only the sets of ``symbols`` when it is given."""
         out = []
         for i, sets in enumerate(self.system.per_symbol, start=1):
-            for members in sets:
-                out.append((i, members))
+            if symbols is None or i in symbols:
+                for members in sets:
+                    out.append((i, members))
         return out
 
 
@@ -144,15 +155,25 @@ class Allocation:
         ]
 
 
+def _certify(allocation: Allocation, instance: SrrInstance, *args, **kwargs) -> None:
+    """``Allocation.validate`` for a witness computed here, where failing is a bug."""
+    try:
+        allocation.validate(instance, *args, **kwargs)
+    except ValueError as exc:
+        raise lp.InvariantError(f"witness failed validation: {exc}") from exc
+
+
 def _region_lp(
     instance: SrrInstance,
     weights: Sequence[Fraction],
     demand: Optional[Sequence[Fraction]] = None,
     pivot_limit: Optional[int] = None,
+    symbols: Optional[Collection[int]] = None,
 ) -> tuple[Fraction, Allocation]:
     """Maximize sum_i weights_i * served_i.  Rows: the k demand ceilings (if a
-    demand is given), then the n node capacities; columns: ``variables()``."""
-    variables = instance.variables()
+    demand is given), then the n node capacities; columns:
+    ``variables(symbols)``."""
+    variables = instance.variables(symbols)
     ceilings = [] if demand is None else list(demand)
     m = len(ceilings)
     columns = (
@@ -194,20 +215,39 @@ def max_objective(
     if all(w == 0 for w in weights):
         raise ValueError("weights must not be all zero")
     value, allocation = _region_lp(instance, weights, pivot_limit=pivot_limit)
-    allocation.validate(instance, weights=weights, value=value)
+    _certify(allocation, instance, weights=weights, value=value)
     return value, allocation.served(code.k), allocation
+
+
+def _rewarded_max(
+    instance: SrrInstance, symbols: Collection[int], pivot_limit: Optional[int]
+) -> Fraction:
+    """Max of sum_{i in symbols} served_i, over the sets of ``symbols`` only.
+
+    The other symbols' sets would carry weight 0: setting them to 0 keeps
+    any point feasible and its value, so the optimum is the full LP's.
+    """
+    k = instance.code.k
+    weights = [_ONE if i in symbols else _ZERO for i in range(1, k + 1)]
+    value, allocation = _region_lp(
+        instance, weights, pivot_limit=pivot_limit, symbols=symbols
+    )
+    _certify(allocation, instance, weights=weights, value=value)
+    return value
 
 
 def lambda_star(
     instance: SrrInstance, i: int, pivot_limit: Optional[int] = None
 ) -> Fraction:
-    """Largest servable rate for symbol i alone."""
+    """Largest servable rate for symbol i alone.
+
+    Solved over symbol i's recovery sets only; the value equals
+    ``max_objective`` with weight 1 on i and 0 elsewhere.
+    """
     k = instance.code.k
     if not 1 <= i <= k:
         raise ValueError(f"symbol {i} out of range 1..{k}")
-    weights = [_ONE if j == i else _ZERO for j in range(1, k + 1)]
-    value, _, _ = max_objective(instance, weights, pivot_limit)
-    return value
+    return _rewarded_max(instance, {i}, pivot_limit)
 
 
 def lambda_star_vector(
@@ -238,7 +278,7 @@ def max_served(
     if any(x < 0 for x in demand):
         raise ValueError("demand rates must be nonnegative")
     value, allocation = _region_lp(instance, [_ONE] * code.k, demand, pivot_limit)
-    allocation.validate(instance, ceiling=demand, value=value)
+    _certify(allocation, instance, ceiling=demand, value=value)
     return value, allocation
 
 
@@ -275,7 +315,9 @@ def subset_bound(
     Binary systematic codes only.  The prediction is |I| when the parity-check
     columns at the subset's systematic positions sum to zero, else |I| + 1;
     the full set I = [k] is the separately-stated case where the ceiling is k
-    for r > 3.  The computed value is the exact LP maximum.
+    for r > 3.  The computed value is the exact LP maximum, solved over the
+    subset's recovery sets only; it equals ``max_objective`` with weight 1 on
+    the subset and 0 elsewhere.
     """
     code = instance.code
     if code.q != 2:
@@ -297,8 +339,7 @@ def subset_bound(
         predicted = len(subset)
     else:
         predicted = len(subset) + 1
-    weights = [_ONE if i in subset else _ZERO for i in range(1, code.k + 1)]
-    computed, _, _ = max_objective(instance, weights, pivot_limit)
+    computed = _rewarded_max(instance, subset, pivot_limit)
     return SubsetBound(subset, tuple(col_sum), predicted, computed)
 
 
@@ -345,7 +386,8 @@ def waterfill(
         for i in range(1, k + 1)
     }
 
-    for _ in range(max_events):
+    events = 0
+    while True:
         active = []
         for i in range(1, k + 1):
             if residual[i - 1] <= 0:
@@ -363,6 +405,13 @@ def waterfill(
             active.append((i, tier, next_gamma))
         if not active:
             break
+        if events >= max_events:
+            raise EventLimitError(
+                f"waterfilling exceeded the event ceiling of {max_events}: "
+                f"{events} events done, "
+                f"{sum(1 for x in residual if x > 0)} symbols still have a residual"
+            )
+        events += 1
 
         rate: dict[int, Fraction] = {}
         for i, tier, _ in active:
@@ -394,14 +443,10 @@ def waterfill(
             residual[i - 1] -= delta
         for v, rv in rate.items():
             loads[v] += rv * delta
-    else:
-        raise EventLimitError(
-            f"waterfilling exceeded the event ceiling of {max_events}"
-        )
 
     allocation = Allocation(weights)
     served = tuple(d - r for d, r in zip(demand, residual))
-    allocation.validate(instance, served)
+    _certify(allocation, instance, served)
     return allocation, served, tuple(residual)
 
 
@@ -412,7 +457,7 @@ def m3_closed_form(r: int) -> int:
     k = 2 ** r - 1 - r
     numerator = math.comb(k, 2) - r * 2 ** (r - 1) + r * r
     if numerator % 3:
-        raise ArithmeticError(f"non-integer triple count at r={r}")
+        raise lp.InvariantError(f"non-integer triple count at r={r}")
     return numerator // 3
 
 
@@ -431,7 +476,7 @@ def m3_brute(r: int) -> int:
             if (heavy[a_idx] ^ heavy[b_idx]).bit_count() >= 2:
                 count += 1
     if count % 3:
-        raise ArithmeticError(f"pair count {count} not divisible by 3")
+        raise lp.InvariantError(f"pair count {count} not divisible by 3")
     return count // 3
 
 

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import types
 
 import pytest
 
-from srrham import cli, lp
+from srrham import cli, lp, srr
+from srrham import hypergraph as hg
 
 from conftest import NONSYS_G
 
@@ -212,12 +214,19 @@ PINNED_DEMANDS = {
     "h33": "1,1/2,1,1/2,1,1/2,1,1/2,1,1/2",
     "nonsys": "1/2,1/2,1/2,1",
 }
+PINNED_ZERO_WEIGHTS = {
+    "h32": "1,0,2,0",
+    "h33": "0,1,0,0,2,0,1,0,0,3",
+    "nonsys": "0,1,0,2",
+}
 EMPTY_SHA = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
 
 # Exit code and sha256 of stdout for classic Ham(3,2), classic Ham(3,3) and
-# NONSYS_G, recorded before membership moved onto the packing LP.  subset is
-# defined for binary systematic codes only, so two of its runs exit 2.
+# NONSYS_G, recorded before membership moved onto the packing LP; the delta,
+# lambda-star-2, max-zeros and subset-ab rows were recorded before lambda*
+# and subset bounds kept only the rewarded symbols' sets.  subset is defined
+# for binary systematic codes only, so two of its runs exit 2.
 @pytest.mark.parametrize(
     "command,name,rc,sha",
     [
@@ -239,6 +248,16 @@ EMPTY_SHA = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
         ("subset", "nonsys", 2, EMPTY_SHA),
         ("stats", "nonsys", 0, "d0d082fe1b2abdcbb663678dd00472b81a0fede26dcd78a96ca0442a15438827"),
         ("verify", "nonsys", 0, "06cb642c382b9042d2a0ec0c29ef95123f52962267617f970e9b869e28d0924b"),
+        ("delta", "h32", 0, "fc7d5b7badeb797320ed95788d4100b7976b0e34e23d16fd522f38affd8c9095"),
+        ("lambda-star-2", "h32", 0, "75651460907a15541ddce817582affe6c3d75165570514d12ebbe185e2935aed"),
+        ("max-zeros", "h32", 0, "41e8b6fd0f0e83050fe7003f1fa07090fab4b73551766731afd3f4a14f508584"),
+        ("subset-ab", "h32", 0, "2e5a5ba0eaa02f26eb4946ccce2e5473338d6ee5be666fec5c7917488fe6c908"),
+        ("delta", "h33", 0, "a44e2ca18115bfe57bdba7aee80b47896f2d29279ac0c26dbf0c15948cb281d0"),
+        ("lambda-star-2", "h33", 0, "e0bc8c659c7ca3fb295cd7e298a51b6dc31c3ebb2c07d9db6539700bfeadaa72"),
+        ("max-zeros", "h33", 0, "acfbf09170d2edd0443042e5649f4159d14d548dbcacce03936d02e98c403f15"),
+        ("delta", "nonsys", 0, "07b557421a1bf7fd467dea8e2d1781ef038454b2c0758f0db41864ee0c163d2e"),
+        ("lambda-star-2", "nonsys", 0, "bb219fb436fa1434c7740125eb93032f02d3625314a52cbf2065b0da519a3dea"),
+        ("max-zeros", "nonsys", 0, "fa34f4035ed4957bb9e4bc338103e2200346a99b790147e233852a7299f4780e"),
     ],
 )
 def test_pinned_stdout(pinned_codes, capsys, command, name, rc, sha):
@@ -250,6 +269,10 @@ def test_pinned_stdout(pinned_codes, capsys, command, name, rc, sha):
         "lambda-star": ["lambda-star", path],
         "subset": ["subset", path, "--symbols", "a,b,c"],
         "stats": ["stats", path],
+        "delta": ["delta", path],
+        "lambda-star-2": ["lambda-star", path, "--symbol", "2"],
+        "max-zeros": ["max", path, "--weights", PINNED_ZERO_WEIGHTS[name]],
+        "subset-ab": ["subset", path, "--symbols", "a,b"],
         "verify": {
             "h32": ["verify", "-r", "3", "-q", "2"],
             "h33": ["verify", "-r", "3", "-q", "3"],
@@ -293,11 +316,91 @@ def test_bad_subcommand_exits_2(capsys):
 
 def test_pivot_ceiling_exits_3(tmp_path, capsys):
     path = gen_file(tmp_path, "gen", "-r", "3", "-q", "2")
-    rc, _, err = run_cli(
+    rc, out, err = run_cli(
         capsys, "check", path, "--demand", "1,1,1,2", "--pivot-limit", "1"
     )
     assert rc == 3
-    assert "pivot" in err
+    assert out == ""
+    assert "pivot ceiling of 1" in err
+    # 4 demand rows + 7 capacity rows; 20 set columns + 11 slack columns.
+    assert "after 1 pivots on a tableau of 11 rows x 31 columns" in err
+
+
+def test_event_ceiling_exits_3_with_counters(tmp_path, capsys):
+    path = gen_file(tmp_path, "gen", "-r", "3", "-q", "2", "--systematic")
+    rc, out, err = run_cli(
+        capsys, "waterfill", path, "--demand", "1/2,1/2,3,2", "--max-events", "2"
+    )
+    assert (rc, out) == (3, "")
+    assert "2 events done, 2 symbols still have a residual" in err
+
+
+def test_bad_json_input_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"q": 2,')
+    rc, out, err = run_cli(capsys, "check", str(bad), "--demand", "1")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: bad JSON input:")
+
+
+def _corrupt_den_after_pivot(monkeypatch):
+    pivot = lp._Tableau._pivot
+
+    def corrupting(self, r, c, z):
+        pivot(self, r, c, z)
+        self.den *= 7  # true values change, so the next division is inexact
+
+    monkeypatch.setattr(lp._Tableau, "_pivot", corrupting)
+
+
+def _unbounded_solve(monkeypatch):
+    monkeypatch.setattr(lp, "solve", lambda *a, **kw: lp.LpOutcome(lp.UNBOUNDED))
+
+
+def _overstated_packing(monkeypatch):
+    packing = lp.max_packing
+
+    def overstated(*args, **kwargs):
+        value, solution = packing(*args, **kwargs)
+        return value + 1, solution
+
+    monkeypatch.setattr(lp, "max_packing", overstated)
+
+
+def _failed_matching_witness(monkeypatch):
+    monkeypatch.setattr(hg, "validate_matching", lambda h, chosen: False)
+
+
+def _wrong_binomial(monkeypatch):
+    monkeypatch.setattr(srr, "math", types.SimpleNamespace(comb=lambda n, k: 0))
+
+
+@pytest.mark.parametrize(
+    "sabotage,argv,message",
+    [
+        (_corrupt_den_after_pivot, ["max", "{path}", "--weights", "1,1,1,1"],
+         "integer pivot lost exactness"),
+        (_unbounded_solve, ["lambda-star", "{path}"], "packing LP ended unbounded"),
+        (_overstated_packing, ["lambda-star", "{path}", "--symbol", "1"],
+         "witness failed validation"),
+        (_overstated_packing, ["check", "{path}", "--demand", "1,1,1,2"],
+         "witness failed validation"),
+        (_failed_matching_witness, ["stats", "{path}"],
+         "matching witness failed validation"),
+        (_wrong_binomial, ["m3", "-r", "4"], "non-integer triple count"),
+    ],
+    ids=["pivot-exactness", "non-optimal-lp", "lambda-witness", "member-witness",
+         "stats-witness", "m3-count"],
+)
+def test_internal_invariant_failure_exits_4(
+    tmp_path, capsys, monkeypatch, sabotage, argv, message
+):
+    path = gen_file(tmp_path, "gen", "-r", "3", "-q", "2")
+    sabotage(monkeypatch)
+    rc, out, err = run_cli(capsys, *[a.format(path=path) for a in argv])
+    assert (rc, out) == (4, "")
+    assert err.startswith("internal error: ") and message in err
+    assert err.count("\n") == 1
 
 
 def test_pivot_env_ceiling_exits_3(tmp_path, capsys, monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from srrham import codes, srr
 from srrham import hypergraph as hg
+from srrham.fields import FieldMatrix
 
 from oracles import equivalent_generator, phase1_membership
 
@@ -155,6 +156,54 @@ def test_lambda_star_values(
     assert srr.lambda_star_vector(nonsys_instance) == (3, F(7, 3), 3, 3)
     with pytest.raises(ValueError):
         srr.lambda_star(classic32_instance, 5)
+
+
+def _drawn_code(kind, seed, nonsys):
+    """NONSYS_G, a scrambled Ham(3,2) or Ham(3,3), or a column-permuted
+    (so still systematic) Ham(3,2)."""
+    if kind == "nonsys":
+        return nonsys
+    rng = random.Random(seed)
+    q = 3 if kind == "scrambled33" else 2
+    generator = codes.systematic_hamming(3, q).generator
+    if kind == "permuted32":
+        order = list(range(generator.cols))
+        rng.shuffle(order)
+        rows = [[row[j] for j in order] for row in generator.entries]
+        generator = FieldMatrix.from_rows(rows, q)
+    else:
+        generator = equivalent_generator(generator, rng)
+    return codes.import_generator(generator.to_lists(), q)
+
+
+@settings(
+    deadline=None, max_examples=40, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(data=st.data())
+def test_restricted_lps_match_full_lp(nonsys, data):
+    kind = data.draw(
+        st.sampled_from(["nonsys", "scrambled32", "scrambled33", "permuted32"])
+    )
+    code = _drawn_code(kind, data.draw(st.integers(0, 2 ** 16)), nonsys)
+    capacity = data.draw(
+        st.fractions(F(1, 3), 3, max_denominator=4).filter(lambda c: c != 1)
+    )
+    instance = srr.SrrInstance.for_code(code, capacity)
+    k = code.k
+    i = data.draw(st.integers(1, k))
+    unit = [1 if j == i else 0 for j in range(1, k + 1)]
+    assert srr.lambda_star(instance, i) == srr.max_objective(instance, unit)[0]
+
+    subset = data.draw(st.sets(st.integers(1, k), min_size=2, max_size=k))
+    full, _, _ = srr.max_objective(
+        instance, [1 if j in subset else 0 for j in range(1, k + 1)]
+    )
+    subset_bound_applies = code.q == 2 and code.systematic_positions is not None
+    event(f"{kind} subset_bound={subset_bound_applies}")
+    if subset_bound_applies:
+        assert srr.subset_bound(instance, subset).computed == full
+    else:
+        assert srr._rewarded_max(instance, subset, None) == full
 
 
 def test_delta_values(classic32_instance, sys42_instance, nonsys_instance):
