@@ -7,9 +7,9 @@ output.  Rationals are serialized as exact "p/q" strings, never floats.
 
 Exit codes: 0 for a completed computation (including "not a member" answers,
 which are data), 2 for input or validation problems, 3 when a resource
-ceiling (LP pivots, waterfilling events) aborts the run, and 4 when an
-internal invariant fails (a solver witness or exactness check: a bug, not
-bad input).
+ceiling (LP pivots, waterfilling events, an enumeration's estimated work)
+aborts the run, and 4 when an internal invariant fails (a solver witness or
+exactness check: a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -341,7 +341,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         payload = args.func(args)
-    except (lp.PivotLimitError, srr.EventLimitError) as exc:
+    except (lp.PivotLimitError, srr.EventLimitError, srr.WorkLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except lp.InvariantError as exc:

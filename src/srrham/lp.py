@@ -7,12 +7,17 @@ broken by lowest basis variable index), which guarantees termination and
 makes returned vertices reproducible; a pivot ceiling turns pathological
 inputs into a diagnosable error instead of a hang.
 
-Internally the tableau uses integer pivoting: every constraint row is scaled
-to integers and the whole dictionary is kept as integer numerators over one
-shared denominator (the previous pivot element).  Each pivot then needs only
-integer multiply/subtract and an exact division, which is far cheaper than
-per-entry rational arithmetic; the division remainder is checked so any
-representation bug would surface immediately rather than corrupt results.
+Internally the tableau uses integer pivoting: the whole dictionary is kept
+as integer numerators over one shared denominator (the previous pivot
+element).  Each pivot then needs only integer multiply/subtract and an exact
+division, which is far cheaper than per-entry rational arithmetic; the
+division remainder is checked so any representation bug would surface
+immediately rather than corrupt results.  A row is scaled only by the lcm of
+its coefficient denominators (1 for every 0/1 packing row), and the whole
+right-hand side column carries one common denominator instead.  Every entry
+is a minor of the starting integer matrix, so the rational right-hand side
+never inflates the coefficient part, and neither scaling changes a sign or a
+ratio comparison: the pivot sequence and the vertex are the same either way.
 
 The solver is a pure function of its input; concurrent calls share nothing.
 """
@@ -106,18 +111,20 @@ def _resolve_pivot_limit(pivot_limit: Optional[int]) -> int:
     return DEFAULT_PIVOT_LIMIT
 
 
-def _integer_row(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[list[int], int]:
-    """Scale one constraint to integers; returns (numerators, multiplier)."""
-    mult = math.lcm(rhs.denominator, *(v.denominator for v in coeffs))
-    return [int(v * mult) for v in coeffs], mult
+def _integer_row(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[list[int], Fraction]:
+    """Scale one constraint's coefficients to integers; returns the integer
+    coefficients and the right-hand side scaled by the same factor."""
+    mult = math.lcm(*(v.denominator for v in coeffs))
+    return [int(v * mult) for v in coeffs], rhs * mult
 
 
 class _Tableau:
     """Integer-pivoting simplex dictionary with Bland's rule.
 
     True tableau entries are rows[i][j] / den with den > 0; the last column
-    is the right-hand side.  The auxiliary z-row rides along through the same
-    pivot updates, so reduced-cost signs can be read off the numerators.
+    is the right-hand side, whose entries are further over rhs_den.  The
+    auxiliary z-row rides along through the same pivot updates, so
+    reduced-cost signs can be read off the numerators.
     """
 
     def __init__(self, problem: LpProblem):
@@ -143,9 +150,10 @@ class _Tableau:
         self.pivots = 0
         slack_at = n
         art_at = n + n_slack
-        for coeffs, rel, rhs in normalized:
-            ints, mult = _integer_row(coeffs, rhs)
-            row = ints + [0] * (total - n) + [int(rhs * mult)]
+        scaled = [_integer_row(coeffs, rhs) for coeffs, _, rhs in normalized]
+        self.rhs_den = math.lcm(*(rhs.denominator for _, rhs in scaled))
+        for (ints, rhs), (_, rel, _) in zip(scaled, normalized):
+            row = ints + [0] * (total - n) + [int(rhs * self.rhs_den)]
             if rel == LE:
                 row[slack_at] = 1
                 self.basis.append(slack_at)
@@ -238,10 +246,15 @@ class _Tableau:
                 raise PivotLimitError(
                     f"simplex exceeded the pivot ceiling of {pivot_limit} "
                     f"after {self.pivots} pivots on a tableau of "
-                    f"{len(rows)} rows x {self.total} columns"
+                    f"{len(rows)} rows x {self.total} columns; its largest "
+                    f"entry has {self.entry_bits()} bits"
                 )
             self.pivots += 1
             self._pivot(leave, enter, z)
+
+    def entry_bits(self) -> int:
+        """Bit length of the largest integer numerator held in the rows."""
+        return max((abs(v).bit_length() for row in self.rows for v in row), default=0)
 
     def phase1(self, pivot_limit: int) -> bool:
         """Minimize the artificial sum; True iff a feasible basis was found."""
@@ -291,7 +304,7 @@ class _Tableau:
         x = [_ZERO] * self.n
         for i, b in enumerate(self.basis):
             if b < self.n:
-                x[b] = Fraction(self.rows[i][-1], self.den)
+                x[b] = Fraction(self.rows[i][-1], self.den * self.rhs_den)
         return tuple(x)
 
 

@@ -163,6 +163,50 @@ def evaluate_constraints(problem: lp.LpProblem, solution: Sequence[Fraction]) ->
     return True
 
 
+def bland_packing(
+    columns: Sequence[Sequence[int]], rhs: Sequence, weights: Sequence
+) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Reference for ``lp.max_packing``: the textbook ``Fraction`` tableau.
+
+    Maximizes weights . x subject to A x <= rhs, x >= 0, where column j of the
+    0/1 matrix A has its ones in the rows ``columns[j]`` and rhs >= 0.  Starts
+    from the slack basis and follows Bland's rule: the lowest-indexed column
+    with a negative reduced cost enters, the lowest ratio leaves, and ratio
+    ties go to the lowest basic index.  Every row is normalized by plain
+    rational division, so no integer pivoting or scaling is shared with the
+    package.  Returns the optimum and the structural part of the vertex.
+    """
+    m, n = len(rhs), len(weights)
+    rows = [[Fraction(0)] * (n + m) + [Fraction(b)] for b in rhs]
+    for j, members in enumerate(columns):
+        for i in members:
+            rows[i][j] = Fraction(1)
+    for i in range(m):
+        rows[i][n + i] = Fraction(1)
+    z = [-Fraction(w) for w in weights] + [Fraction(0)] * (m + 1)
+    basis = list(range(n, n + m))
+    while True:
+        enter = next((j for j in range(n + m) if z[j] < 0), None)
+        if enter is None:
+            break
+        eligible = [i for i in range(m) if rows[i][enter] > 0]
+        if not eligible:
+            raise ValueError("packing LP is unbounded")
+        leave = min(eligible, key=lambda i: (rows[i][-1] / rows[i][enter], basis[i]))
+        pivot_row = [v / rows[leave][enter] for v in rows[leave]]
+        rows[leave] = pivot_row
+        for row in rows + [z]:
+            f = row[enter]
+            if row is not pivot_row and f:
+                row[:] = [a - f * b for a, b in zip(row, pivot_row)]
+        basis[leave] = enter
+    x = [Fraction(0)] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            x[b] = rows[i][-1]
+    return z[-1], tuple(x)
+
+
 def phase1_membership(instance, demand) -> tuple[bool, dict | None]:
     """Membership as plain feasibility: k equality rows (service = demand),
     then n capacity rows, solved by phase 1 of the simplex alone.

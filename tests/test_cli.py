@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 import types
 
 import pytest
@@ -151,6 +152,15 @@ def test_m3_command(capsys):
     rc, out, _ = run_cli(capsys, "m3", "-r", "5")
     data = json.loads(out)
     assert data == {"r": 5, "closed_form": 90, "brute": 90, "match": True}
+
+
+def test_m3_over_work_limit_exits_3_before_enumerating(capsys):
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "m3", "-r", "30")
+    assert time.perf_counter() - start < 0.5
+    assert (rc, out) == (3, "")
+    pairs = (2 ** 30 - 31) * (2 ** 30 - 32) // 2
+    assert f"needs {pairs} pair checks, over the limit of {srr.M3_PAIR_LIMIT}" in err
 
 
 def test_verify_command(tmp_path, capsys):
@@ -323,7 +333,10 @@ def test_pivot_ceiling_exits_3(tmp_path, capsys):
     assert out == ""
     assert "pivot ceiling of 1" in err
     # 4 demand rows + 7 capacity rows; 20 set columns + 11 slack columns.
-    assert "after 1 pivots on a tableau of 11 rows x 31 columns" in err
+    assert (
+        "after 1 pivots on a tableau of 11 rows x 31 columns; "
+        "its largest entry has 2 bits" in err
+    )
 
 
 def test_event_ceiling_exits_3_with_counters(tmp_path, capsys):

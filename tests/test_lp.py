@@ -3,13 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from srrham import lp
 from srrham import hypergraph as hg
 from srrham import recovery, codes
 
 from conftest import NONSYS_G
-from oracles import evaluate_constraints
+from oracles import bland_packing, evaluate_constraints
 
 
 # ---------------------------------------------------------------------------
@@ -223,3 +225,85 @@ def test_determinism_same_vertex():
     first = lp.solve(problem)
     second = lp.solve(problem)
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# Packing LPs with rational right-hand sides: the integer tableau must follow
+# the plain rational Bland simplex pivot for pivot.
+# ---------------------------------------------------------------------------
+
+def _rationals(max_den: int):
+    return st.builds(
+        Fraction, st.integers(0, 10 ** 6), st.integers(1, max_den)
+    )
+
+
+@st.composite
+def _packing_lps(draw):
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 8))
+    rows = st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True)
+    columns = [draw(rows) for _ in range(n)]
+    # Rows that share one right-hand side (or 0) make ratio ties and
+    # degenerate pivots, where Bland's tie-break decides the vertex.
+    shared = draw(_rationals(10 ** 6))
+    rhs = draw(st.lists(
+        st.one_of(_rationals(10 ** 6), st.just(shared), st.just(Fraction(0))),
+        min_size=m, max_size=m,
+    ))
+    # Repeated small weights give ties between optimal vertices, where the
+    # pivot path decides which one is returned.
+    weights = draw(st.lists(
+        st.one_of(
+            st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]),
+            st.builds(Fraction, st.integers(-20, 100), st.integers(1, 1000)),
+        ),
+        min_size=n, max_size=n,
+    ))
+    return columns, rhs, weights
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_packing_lps())
+@example(  # a ratio tie on the first pivot: the tie-break decides the vertex
+    ([[0, 1], [0], [1]], [Fraction(1, 999983)] * 2,
+     [Fraction(1), Fraction(2), Fraction(0)])
+)
+def test_max_packing_matches_rational_bland_vertex(lp_data):
+    columns, rhs, weights = lp_data
+    expected = bland_packing(columns, rhs, weights)
+    assert lp.max_packing(columns, rhs, weights) == expected
+
+
+def _final_tableau(columns, rhs, weights) -> lp._Tableau:
+    dense = [[0] * len(weights) for _ in rhs]
+    for j, rows in enumerate(columns):
+        for r in rows:
+            dense[r][j] = 1
+    problem = lp.LpProblem.maximize(weights, zip(dense, [lp.LE] * len(rhs), rhs))
+    tab = lp._Tableau(problem)
+    assert tab.phase2(problem.objective, lp.DEFAULT_PIVOT_LIMIT) == lp.OPTIMAL
+    return tab
+
+
+def test_rational_rhs_leaves_the_coefficient_part_untouched():
+    # The 11 x 20 packing LP of check on Ham(3,2): demand rows, then nodes.
+    code = codes.classic_hamming(3, 2)
+    system = recovery.build_recovery_system(code)
+    columns = [
+        [i - 1] + [4 + v - 1 for v in members]
+        for i, sets in enumerate(system.per_symbol, start=1) for members in sets
+    ]
+    weights = [1] * len(columns)
+    rhs = [Fraction(3, 2), Fraction(1, 3), 1, 2] + [Fraction(1)] * 7
+    big = 10 ** 40 + 1
+    whole = _final_tableau(columns, rhs, weights)
+    scaled = _final_tableau(columns, [Fraction(b) / big for b in rhs], weights)
+    assert whole.pivots == scaled.pivots > 0
+    assert whole.basis == scaled.basis and whole.den == scaled.den
+    # Every row, coefficient part and rhs numerators alike, is the same: the
+    # factor 1/big lives in the common rhs denominator alone.
+    assert whole.rows == scaled.rows
+    assert scaled.rhs_den == whole.rhs_den * big
+    assert scaled.solution() == tuple(x / big for x in whole.solution())
