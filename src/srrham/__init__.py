@@ -10,7 +10,7 @@ from .codes import (
     odd_weight_column_count,
     systematic_hamming,
 )
-from .fields import FieldMatrix, Rational, in_span, rref
+from .fields import FieldMatrix, in_span, rref
 from .hypergraph import (
     Edge,
     Hypergraph,

@@ -6,10 +6,12 @@ slice) on stdout or --out; identical invocations produce byte-identical
 output.  Rationals are serialized as exact "p/q" strings, never floats.
 
 Exit codes: 0 for a completed computation (including "not a member" answers,
-which are data), 2 for input or validation problems, 3 when a resource
-ceiling (LP pivots, waterfilling events, an enumeration's estimated work)
-aborts the run, and 4 when an internal invariant fails (a solver witness or
-exactness check: a bug, not bad input).
+which are data), 2 for input or validation problems (a bad
+``SRRHAM_PIVOT_LIMIT`` value among them), 3 when a resource ceiling (LP
+pivots, waterfilling events, the estimated work of an enumeration or of a
+``slice`` grid) aborts the run, and 4 when an internal invariant fails (a
+solver witness or exactness check: a bug, not bad input).  The LP pivot
+ceiling has no option: ``lp`` reads it from ``SRRHAM_PIVOT_LIMIT``.
 """
 
 from __future__ import annotations
@@ -92,13 +94,13 @@ def _cmd_stats(args) -> dict:
     graph = hg.from_recovery_system(system)
     if args.symbols:
         graph = hg.partial_hypergraph(graph, _symbols_arg(args.symbols, code.k))
-    return hg.compute_stats(graph, args.pivot_limit).to_json_dict()
+    return hg.compute_stats(graph).to_json_dict()
 
 
 def _cmd_check(args) -> dict:
     instance = _load_instance(args)
     demand = srr.parse_demand(args.demand, instance.code.k)
-    member, allocation = srr.membership(instance, demand, args.pivot_limit)
+    member, allocation = srr.membership(instance, demand)
     out = {"member": member}
     out["allocation"] = allocation.to_json_list() if member else None
     return out
@@ -110,7 +112,7 @@ def _cmd_max(args) -> dict:
     weights = [parse_rational(t) for t in args.weights.split(",")]
     if len(weights) != k:
         raise ValueError(f"expected {k} weights, got {len(weights)}")
-    value, demand, allocation = srr.max_objective(instance, weights, args.pivot_limit)
+    value, demand, allocation = srr.max_objective(instance, weights)
     return {
         "value": format_rational(value),
         "demand": [format_rational(x) for x in demand],
@@ -122,21 +124,21 @@ def _cmd_lambda_star(args) -> dict:
     instance = _load_instance(args)
     if args.symbol:
         i = _symbol_token(args.symbol, instance.code.k)
-        value = srr.lambda_star(instance, i, args.pivot_limit)
+        value = srr.lambda_star(instance, i)
         return {"symbol": i, "value": format_rational(value)}
-    stars = srr.lambda_star_vector(instance, args.pivot_limit)
+    stars = srr.lambda_star_vector(instance)
     return {"values": [format_rational(x) for x in stars]}
 
 
 def _cmd_delta(args) -> dict:
     instance = _load_instance(args)
-    return {"delta": format_rational(srr.delta_simplex(instance, args.pivot_limit))}
+    return {"delta": format_rational(srr.delta_simplex(instance))}
 
 
 def _cmd_subset(args) -> dict:
     instance = _load_instance(args)
     subset = _symbols_arg(args.symbols, instance.code.k)
-    return srr.subset_bound(instance, subset, args.pivot_limit).to_json_dict()
+    return srr.subset_bound(instance, subset).to_json_dict()
 
 
 def _cmd_waterfill(args) -> dict:
@@ -169,14 +171,7 @@ def _cmd_verify(args) -> dict:
             if args.systematic
             else codes.classic_hamming(args.r, args.q)
         )
-    report = srr.verify_report(
-        code,
-        seed=args.seed,
-        subset_samples=args.samples,
-        uniform_samples=args.samples,
-        pivot_limit=args.pivot_limit,
-    )
-    return report.to_json_dict()
+    return srr.verify_report(code, args.seed, args.samples).to_json_dict()
 
 
 def _cmd_slice(args) -> str:
@@ -199,6 +194,12 @@ def _cmd_slice(args) -> str:
     step = parse_rational(args.step)
     if step <= 0 or maximum < 0:
         raise ValueError("--step must be positive and --max nonnegative")
+    points = (maximum // step + 1) ** len(axes)
+    if points > srr.SLICE_POINT_LIMIT:
+        raise srr.WorkLimitError(
+            f"slice needs {points} membership LPs, over the limit of "
+            f"{srr.SLICE_POINT_LIMIT}"
+        )
     ticks = []
     v = Fraction(0)
     while v <= maximum:
@@ -208,7 +209,7 @@ def _cmd_slice(args) -> str:
 
     def fill(depth: int, demand: list[Fraction]) -> None:
         if depth == len(axes):
-            member, _ = srr.membership(instance, tuple(demand), args.pivot_limit)
+            member, _ = srr.membership(instance, tuple(demand))
             row = [format_rational(x) for x in demand] + ["1" if member else "0"]
             lines.append(",".join(row))
             return
@@ -235,12 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("code", help="code JSON file (from gen or import)")
     common.add_argument("--out", help="write output here instead of stdout")
-    common.add_argument(
-        "--pivot-limit",
-        type=int,
-        default=None,
-        help="LP pivot ceiling (also via SRRHAM_PIVOT_LIMIT)",
-    )
     region = argparse.ArgumentParser(add_help=False, parents=[common])
     region.add_argument("--capacity", default="1")
 
@@ -318,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=40)
     p.add_argument("--out")
-    p.add_argument("--pivot-limit", type=int, default=None)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser(

@@ -35,10 +35,6 @@ class Codeword:
         ent = tuple(entries)
         return cls(ent, tuple(i + 1 for i, v in enumerate(ent) if v != 0))
 
-    @property
-    def weight(self) -> int:
-        return len(self.support)
-
 
 @dataclass(frozen=True)
 class LinearCode:

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-Rational = Fraction
-
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -68,10 +66,6 @@ class FieldMatrix:
     def from_rows(cls, rows: Iterable[Iterable[int]], q: int) -> "FieldMatrix":
         return cls(q, tuple(tuple(v % q for v in row) for row in rows))
 
-    @classmethod
-    def identity(cls, n: int, q: int) -> "FieldMatrix":
-        return cls(q, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -79,9 +73,6 @@ class FieldMatrix:
     @property
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import lp
 from .fields import format_rational
@@ -173,16 +173,13 @@ def transversal_number(h: Hypergraph) -> tuple[int, tuple[int, ...]]:
     return best, tuple(best_cover)
 
 
-def fractional_matching_number(
-    h: Hypergraph, pivot_limit: Optional[int] = None
-) -> tuple[Fraction, dict[Edge, Fraction]]:
+def fractional_matching_number(h: Hypergraph) -> tuple[Fraction, dict[Edge, Fraction]]:
     """Exact LP optimum of max sum of edge weights, per-vertex load <= 1."""
     edges = h.canonical_edges()
     value, solution = lp.max_packing(
         ([v - 1 for v in e.members] for e in edges),
         [Fraction(1)] * h.vertex_count,
         [Fraction(1)] * len(edges),
-        pivot_limit,
     )
     return value, dict(zip(edges, solution))
 
@@ -247,12 +244,12 @@ class HypergraphStats:
         }
 
 
-def compute_stats(h: Hypergraph, pivot_limit: Optional[int] = None) -> HypergraphStats:
+def compute_stats(h: Hypergraph) -> HypergraphStats:
     """nu, tau, mu_f with witnesses; re-validates each witness and the
     sandwich nu <= mu_f <= tau before returning."""
     nu, matching = matching_number(h)
     tau, transversal = transversal_number(h)
-    mu_f, weights = fractional_matching_number(h, pivot_limit)
+    mu_f, weights = fractional_matching_number(h)
     if not validate_matching(h, matching) or len(matching) != nu:
         raise lp.InvariantError("matching witness failed validation")
     if h.edges and (not validate_transversal(h, transversal) or len(transversal) != tau):

@@ -5,7 +5,9 @@ satisfies every constraint exactly.  Variables are implicitly bounded below
 by zero.  Pivoting follows Bland's rule (lowest eligible index, ratio ties
 broken by lowest basis variable index), which guarantees termination and
 makes returned vertices reproducible; a pivot ceiling turns pathological
-inputs into a diagnosable error instead of a hang.
+inputs into a diagnosable error instead of a hang.  The ceiling is read here
+and nowhere else: each tableau takes it from ``SRRHAM_PIVOT_LIMIT`` when that
+is set, and uses ``DEFAULT_PIVOT_LIMIT`` otherwise.
 
 Internally the tableau uses integer pivoting: the whole dictionary is kept
 as integer numerators over one shared denominator (the previous pivot
@@ -99,9 +101,7 @@ class LpOutcome:
     solution: Optional[tuple[Fraction, ...]] = None
 
 
-def _resolve_pivot_limit(pivot_limit: Optional[int]) -> int:
-    if pivot_limit is not None:
-        return pivot_limit
+def _resolve_pivot_limit() -> int:
     env = os.environ.get(PIVOT_LIMIT_ENV)
     if env:
         try:
@@ -128,6 +128,7 @@ class _Tableau:
     """
 
     def __init__(self, problem: LpProblem):
+        self.pivot_limit = _resolve_pivot_limit()
         n = problem.num_vars
         normalized = []
         for c in problem.constraints:
@@ -214,7 +215,7 @@ class _Tableau:
                     new.append(q)
                 row[:] = new
 
-    def _run(self, z: list[int], banned_from: int, pivot_limit: int) -> str:
+    def _run(self, z: list[int], banned_from: int) -> str:
         rows = self.rows
         basis = self.basis
         while True:
@@ -242,9 +243,9 @@ class _Tableau:
                         leave, best_rhs, best_a = i, rhs, a
             if leave < 0:
                 return UNBOUNDED
-            if self.pivots >= pivot_limit:
+            if self.pivots >= self.pivot_limit:
                 raise PivotLimitError(
-                    f"simplex exceeded the pivot ceiling of {pivot_limit} "
+                    f"simplex exceeded the pivot ceiling of {self.pivot_limit} "
                     f"after {self.pivots} pivots on a tableau of "
                     f"{len(rows)} rows x {self.total} columns; its largest "
                     f"entry has {self.entry_bits()} bits"
@@ -256,7 +257,7 @@ class _Tableau:
         """Bit length of the largest integer numerator held in the rows."""
         return max((abs(v).bit_length() for row in self.rows for v in row), default=0)
 
-    def phase1(self, pivot_limit: int) -> bool:
+    def phase1(self) -> bool:
         """Minimize the artificial sum; True iff a feasible basis was found."""
         if self.artificial_start == self.total:
             return True
@@ -268,7 +269,7 @@ class _Tableau:
                         z[j] -= v
         for j in range(self.artificial_start, self.total):
             z[j] += self.den
-        status = self._run(z, self.total, pivot_limit)
+        status = self._run(z, self.total)
         if status != OPTIMAL or z[-1] != 0:
             return False
         # Drive leftover artificials out of the (degenerate) basis.
@@ -285,7 +286,7 @@ class _Tableau:
                     self._pivot(i, col, [0] * (self.total + 1))
         return True
 
-    def phase2(self, objective: Sequence[Fraction], pivot_limit: int) -> str:
+    def phase2(self, objective: Sequence[Fraction]) -> str:
         scale = math.lcm(*(v.denominator for v in objective)) if objective else 1
         cost = [int(v * scale) for v in objective] + [0] * (self.total - self.n)
         z = [0] * (self.total + 1)
@@ -298,7 +299,7 @@ class _Tableau:
         for j in range(self.artificial_start):
             if cost[j]:
                 z[j] -= cost[j] * self.den
-        return self._run(z, self.artificial_start, pivot_limit)
+        return self._run(z, self.artificial_start)
 
     def solution(self) -> tuple[Fraction, ...]:
         x = [_ZERO] * self.n
@@ -308,13 +309,12 @@ class _Tableau:
         return tuple(x)
 
 
-def solve(problem: LpProblem, pivot_limit: Optional[int] = None) -> LpOutcome:
+def solve(problem: LpProblem) -> LpOutcome:
     """Maximize the objective; exact optimum, or infeasible/unbounded status."""
-    limit = _resolve_pivot_limit(pivot_limit)
     tab = _Tableau(problem)
-    if not tab.phase1(limit):
+    if not tab.phase1():
         return LpOutcome(INFEASIBLE)
-    status = tab.phase2(problem.objective, limit)
+    status = tab.phase2(problem.objective)
     if status == UNBOUNDED:
         return LpOutcome(UNBOUNDED)
     x = tab.solution()
@@ -326,7 +326,6 @@ def max_packing(
     columns: Iterable[Iterable[int]],
     rhs: Sequence,
     weights: Sequence,
-    pivot_limit: Optional[int] = None,
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exact optimum and vertex of: maximize weights . x, A.x <= rhs, x >= 0.
 
@@ -340,18 +339,15 @@ def max_packing(
             dense[r][j] = 1
     problem = LpProblem.maximize(weights, zip(dense, [LE] * len(rhs), rhs))
     del dense  # the problem holds its own rows; free these before solving
-    outcome = solve(problem, pivot_limit)
+    outcome = solve(problem)
     if outcome.status != OPTIMAL:
         raise InvariantError(f"packing LP ended {outcome.status}")
     return outcome.value, outcome.solution
 
 
-def check_feasible(
-    problem: LpProblem, pivot_limit: Optional[int] = None
-) -> tuple[bool, Optional[tuple[Fraction, ...]]]:
+def check_feasible(problem: LpProblem) -> tuple[bool, Optional[tuple[Fraction, ...]]]:
     """Phase-1 feasibility test; returns a feasible point when one exists."""
-    limit = _resolve_pivot_limit(pivot_limit)
     tab = _Tableau(problem)
-    if not tab.phase1(limit):
+    if not tab.phase1():
         return False, None
     return True, tab.solution()

@@ -29,11 +29,6 @@ class RecoverySystem:
     code: LinearCode
     per_symbol: tuple[tuple[RecoverySet, ...], ...]
 
-    def sets_for(self, symbol: int) -> tuple[RecoverySet, ...]:
-        if not 1 <= symbol <= self.code.k:
-            raise ValueError(f"symbol {symbol} out of range 1..{self.code.k}")
-        return self.per_symbol[symbol - 1]
-
     def total_sets(self) -> int:
         return sum(len(sets) for sets in self.per_symbol)
 
@@ -156,10 +151,6 @@ class StructureReport:
     cardinality_law_ok: bool
     count_law_ok: bool
     incidence_law_ok: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return self.cardinality_law_ok and self.count_law_ok and self.incidence_law_ok
 
 
 def structure_report(system: RecoverySystem) -> StructureReport:

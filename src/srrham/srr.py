@@ -36,7 +36,6 @@ from .recovery import (
     RecoverySet,
     RecoverySystem,
     build_recovery_system,
-    count_by_nonsystematic_nodes,
     structure_report,
 )
 
@@ -49,6 +48,10 @@ DemandVector = tuple[Fraction, ...]
 # m3_brute checks a pair in about 150 ns (Python 3.11 on a 2-core Xeon VM),
 # so this limit stops it before it would run past about 8 s.
 M3_PAIR_LIMIT = 5 * 10 ** 7
+
+# A membership LP takes about 1 ms on Ham(3,2) and 12 ms on Ham(4,2) (on that
+# machine), so a slice grid of this many points runs for 2 to 20 minutes.
+SLICE_POINT_LIMIT = 10 ** 5
 
 
 class EventLimitError(RuntimeError):
@@ -176,7 +179,6 @@ def _region_lp(
     instance: SrrInstance,
     weights: Sequence[Fraction],
     demand: Optional[Sequence[Fraction]] = None,
-    pivot_limit: Optional[int] = None,
     symbols: Optional[Collection[int]] = None,
 ) -> tuple[Fraction, Allocation]:
     """Maximize sum_i weights_i * served_i.  Rows: the k demand ceilings (if a
@@ -191,14 +193,12 @@ def _region_lp(
     )
     rhs = ceilings + [instance.capacity] * instance.code.n
     objective = [weights[i - 1] for i, _ in variables]
-    value, solution = lp.max_packing(columns, rhs, objective, pivot_limit)
+    value, solution = lp.max_packing(columns, rhs, objective)
     return value, Allocation({var: w for var, w in zip(variables, solution) if w})
 
 
 def membership(
-    instance: SrrInstance,
-    demand: Sequence[Fraction],
-    pivot_limit: Optional[int] = None,
+    instance: SrrInstance, demand: Sequence[Fraction]
 ) -> tuple[bool, Optional[Allocation]]:
     """Is the demand vector servable?  Yes iff ``max_served`` serves sum(demand).
 
@@ -206,16 +206,14 @@ def membership(
     sum(demand) only when every symbol is served in full; the witness that
     ``max_served`` validated is then an exact allocation of the demand.
     """
-    value, allocation = max_served(instance, demand, pivot_limit)
+    value, allocation = max_served(instance, demand)
     if value != sum(demand, _ZERO):
         return False, None
     return True, allocation
 
 
 def max_objective(
-    instance: SrrInstance,
-    weights: Sequence[Fraction],
-    pivot_limit: Optional[int] = None,
+    instance: SrrInstance, weights: Sequence[Fraction]
 ) -> tuple[Fraction, DemandVector, Allocation]:
     """Maximize sum w_i * lambda_i over the service rate region."""
     code = instance.code
@@ -223,14 +221,12 @@ def max_objective(
         raise ValueError(f"weights length {len(weights)} != k = {code.k}")
     if all(w == 0 for w in weights):
         raise ValueError("weights must not be all zero")
-    value, allocation = _region_lp(instance, weights, pivot_limit=pivot_limit)
+    value, allocation = _region_lp(instance, weights)
     _certify(allocation, instance, weights=weights, value=value)
     return value, allocation.served(code.k), allocation
 
 
-def _rewarded_max(
-    instance: SrrInstance, symbols: Collection[int], pivot_limit: Optional[int]
-) -> Fraction:
+def _rewarded_max(instance: SrrInstance, symbols: Collection[int]) -> Fraction:
     """Max of sum_{i in symbols} served_i, over the sets of ``symbols`` only.
 
     The other symbols' sets would carry weight 0: setting them to 0 keeps
@@ -238,16 +234,12 @@ def _rewarded_max(
     """
     k = instance.code.k
     weights = [_ONE if i in symbols else _ZERO for i in range(1, k + 1)]
-    value, allocation = _region_lp(
-        instance, weights, pivot_limit=pivot_limit, symbols=symbols
-    )
+    value, allocation = _region_lp(instance, weights, symbols=symbols)
     _certify(allocation, instance, weights=weights, value=value)
     return value
 
 
-def lambda_star(
-    instance: SrrInstance, i: int, pivot_limit: Optional[int] = None
-) -> Fraction:
+def lambda_star(instance: SrrInstance, i: int) -> Fraction:
     """Largest servable rate for symbol i alone.
 
     Solved over symbol i's recovery sets only; the value equals
@@ -256,29 +248,20 @@ def lambda_star(
     k = instance.code.k
     if not 1 <= i <= k:
         raise ValueError(f"symbol {i} out of range 1..{k}")
-    return _rewarded_max(instance, {i}, pivot_limit)
+    return _rewarded_max(instance, {i})
 
 
-def lambda_star_vector(
-    instance: SrrInstance, pivot_limit: Optional[int] = None
-) -> DemandVector:
-    return tuple(
-        lambda_star(instance, i, pivot_limit)
-        for i in range(1, instance.code.k + 1)
-    )
+def lambda_star_vector(instance: SrrInstance) -> DemandVector:
+    return tuple(lambda_star(instance, i) for i in range(1, instance.code.k + 1))
 
 
-def delta_simplex(
-    instance: SrrInstance, pivot_limit: Optional[int] = None
-) -> Fraction:
+def delta_simplex(instance: SrrInstance) -> Fraction:
     """Size of the largest uniform simplex inside the region: min_i lambda_i*."""
-    return min(lambda_star_vector(instance, pivot_limit))
+    return min(lambda_star_vector(instance))
 
 
 def max_served(
-    instance: SrrInstance,
-    demand: Sequence[Fraction],
-    pivot_limit: Optional[int] = None,
+    instance: SrrInstance, demand: Sequence[Fraction]
 ) -> tuple[Fraction, Allocation]:
     """Largest total rate servable without exceeding the given per-symbol demand."""
     code = instance.code
@@ -286,7 +269,7 @@ def max_served(
         raise ValueError(f"demand length {len(demand)} != k = {code.k}")
     if any(x < 0 for x in demand):
         raise ValueError("demand rates must be nonnegative")
-    value, allocation = _region_lp(instance, [_ONE] * code.k, demand, pivot_limit)
+    value, allocation = _region_lp(instance, [_ONE] * code.k, demand)
     _certify(allocation, instance, ceiling=demand, value=value)
     return value, allocation
 
@@ -314,11 +297,7 @@ class SubsetBound:
         }
 
 
-def subset_bound(
-    instance: SrrInstance,
-    symbols: Iterable[int],
-    pivot_limit: Optional[int] = None,
-) -> SubsetBound:
+def subset_bound(instance: SrrInstance, symbols: Iterable[int]) -> SubsetBound:
     """Ceiling on sum of lambda_i over a subset of data symbols.
 
     Binary systematic codes only.  The prediction is |I| when the parity-check
@@ -348,7 +327,7 @@ def subset_bound(
         predicted = len(subset)
     else:
         predicted = len(subset) + 1
-    computed = _rewarded_max(instance, subset, pivot_limit)
+    computed = _rewarded_max(instance, subset)
     return SubsetBound(subset, tuple(col_sum), predicted, computed)
 
 
@@ -543,19 +522,14 @@ def _rat(x) -> str:
 
 
 def verify_report(
-    code: LinearCode,
-    seed: int = 0,
-    subset_samples: int = 40,
-    uniform_samples: int = 30,
-    mixed_demands: int = 4,
-    pivot_limit: Optional[int] = None,
+    code: LinearCode, seed: int = 0, samples: int = 40
 ) -> VerificationReport:
     """Machine-check every structural and service-rate law on one code.
 
     Laws that do not apply (binary-only bounds on a ternary code, systematic
     structure on a non-systematic matrix) are recorded as skipped rather than
-    failed.  Sampling sizes only affect how many subset instances are checked,
-    never the exactness of each individual check.
+    failed.  ``samples`` caps how many pairs, triples and random subsets are
+    checked; it never affects the exactness of any one check.
     """
     rng = random.Random(seed)
     q, r, k = code.q, code.r, code.k
@@ -598,7 +572,7 @@ def verify_report(
         if q == 2:
             for t in range(1, r + 1):
                 expected = math.comb(r, t) * (2 ** (r - 1) - t)
-                got = count_by_nonsystematic_nodes(instance.system, t)
+                got = sr.t_counts[t]
                 report.add(
                     f"sets with {t} non-systematic nodes",
                     expected,
@@ -610,7 +584,7 @@ def verify_report(
 
     # Hypergraph numbers.
     graph = hg.from_recovery_system(instance.system)
-    stats = hg.compute_stats(graph, pivot_limit)
+    stats = hg.compute_stats(graph)
     report.add(
         "matching <= fractional matching <= transversal",
         True,
@@ -632,7 +606,7 @@ def verify_report(
     )
     if q == 2:
         o_w = odd_weight_column_count(code)
-        total, _, _ = max_objective(instance, [_ONE] * k, pivot_limit)
+        total, _, _ = max_objective(instance, [_ONE] * k)
         report.add(
             "total service rate <= odd-weight column count",
             f"<= {o_w}",
@@ -664,7 +638,7 @@ def verify_report(
         report.skipped.append("odd-weight column bound (binary codes only)")
 
     # Single-object maxima and the simplex sandwich.
-    stars = lambda_star_vector(instance, pivot_limit)
+    stars = lambda_star_vector(instance)
     delta = min(stars)
     if systematic:
         predicted_star = 1 + Fraction(q, q - 1)
@@ -724,11 +698,11 @@ def verify_report(
     # Subset bounds and the uniformized fractional ceiling (binary systematic).
     if q == 2 and systematic:
         pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
-        if len(pairs) > subset_samples:
-            pairs = rng.sample(pairs, subset_samples)
+        if len(pairs) > samples:
+            pairs = rng.sample(pairs, samples)
         pair_ok = True
         for i, j in pairs:
-            sb = subset_bound(instance, (i, j), pivot_limit)
+            sb = subset_bound(instance, (i, j))
             if sb.predicted != 3 or sb.computed != 3:
                 pair_ok = False
                 break
@@ -746,11 +720,11 @@ def verify_report(
             for j in range(i + 1, k + 1)
             for l in range(j + 1, k + 1)
         ]
-        if len(triples) > subset_samples:
-            triples = rng.sample(triples, subset_samples)
+        if len(triples) > samples:
+            triples = rng.sample(triples, samples)
         triple_ok = True
         for tri in triples:
-            sb = subset_bound(instance, tri, pivot_limit)
+            sb = subset_bound(instance, tri)
             if sb.computed != sb.predicted:
                 triple_ok = False
                 break
@@ -763,10 +737,10 @@ def verify_report(
         )
         bound_ok = True
         checked = 0
-        sizes = [s for s in range(1, k) for _ in range(2)][: uniform_samples]
+        sizes = [s for s in range(1, k) for _ in range(2)][:samples]
         for size in sizes:
             subset = tuple(sorted(rng.sample(range(1, k + 1), size)))
-            mu_f = _rewarded_max(instance, subset, pivot_limit)
+            mu_f = _rewarded_max(instance, subset)
             ceiling = (
                 len(subset)
                 + 2
@@ -803,10 +777,10 @@ def verify_report(
         )
         gaps = []
         policy_optimal = True
-        for _ in range(mixed_demands):
+        for _ in range(4):  # random half-integer demands
             d = tuple(Fraction(rng.randrange(0, 5), 2) for _ in range(k))
             _, served, residual = waterfill(instance, d)
-            best, _ = max_served(instance, d, pivot_limit)
+            best, _ = max_served(instance, d)
             got = sum(served, _ZERO)
             if got > best:
                 policy_optimal = False  # impossible if the LP is right

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import time
@@ -324,11 +325,10 @@ def test_bad_subcommand_exits_2(capsys):
     assert rc == 2
 
 
-def test_pivot_ceiling_exits_3(tmp_path, capsys):
+def test_pivot_ceiling_exits_3(tmp_path, capsys, monkeypatch):
     path = gen_file(tmp_path, "gen", "-r", "3", "-q", "2")
-    rc, out, err = run_cli(
-        capsys, "check", path, "--demand", "1,1,1,2", "--pivot-limit", "1"
-    )
+    monkeypatch.setenv(lp.PIVOT_LIMIT_ENV, "1")
+    rc, out, err = run_cli(capsys, "check", path, "--demand", "1,1,1,2")
     assert rc == 3
     assert out == ""
     assert "pivot ceiling of 1" in err
@@ -336,6 +336,60 @@ def test_pivot_ceiling_exits_3(tmp_path, capsys):
     assert (
         "after 1 pivots on a tableau of 11 rows x 31 columns; "
         "its largest entry has 2 bits" in err
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "{path}", "--demand", "1,1,1,2"],
+        ["max", "{path}", "--weights", "1,1,1,1"],
+        ["lambda-star", "{path}"],
+        ["delta", "{path}"],
+        ["subset", "{path}", "--symbols", "a,b"],
+        ["slice", "{path}", "--axes", "a", "--max", "1", "--step", "1"],
+        ["stats", "{path}"],
+        ["verify", "-r", "3", "-q", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_lp_command_obeys_the_env_pivot_ceiling(
+    tmp_path, capsys, monkeypatch, argv
+):
+    path = gen_file(tmp_path, "gen", "-r", "3", "-q", "2")
+    monkeypatch.setenv(lp.PIVOT_LIMIT_ENV, "0")
+    rc, out, err = run_cli(capsys, *[a.format(path=path) for a in argv])
+    assert (rc, out) == (3, "")
+    assert "pivot ceiling of 0" in err
+
+
+def test_pivot_limit_flag_is_gone(tmp_path, capsys):
+    parser = cli.build_parser()
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    for name, sub in subparsers.choices.items():
+        assert "--pivot-limit" not in sub.format_help(), name
+    path = gen_file(tmp_path, "gen", "-r", "3", "-q", "2")
+    rc, out, err = run_cli(
+        capsys, "check", path, "--demand", "1,1,1,2", "--pivot-limit", "1"
+    )
+    assert (rc, out) == (2, "")
+    assert "--pivot-limit" in err
+
+
+def test_slice_over_work_limit_exits_3_before_building_ticks(tmp_path, capsys):
+    path = gen_file(tmp_path, "gen", "-r", "3", "-q", "2")
+    start = time.perf_counter()
+    rc, out, err = run_cli(
+        capsys, "slice", path, "--axes", "a", "--max", "1", "--step", "1/1000000000"
+    )
+    assert time.perf_counter() - start < 0.5
+    assert (rc, out) == (3, "")
+    points = 10 ** 9 + 1
+    assert (
+        f"slice needs {points} membership LPs, over the limit of "
+        f"{srr.SLICE_POINT_LIMIT}" in err
     )
 
 

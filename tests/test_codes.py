@@ -153,9 +153,9 @@ def test_dual_codewords_single_weight(r, q, nonzero_weight):
     c = codes.systematic_hamming(r, q)
     words = codes.dual_codewords(c)
     assert len(words) == q ** r
-    zero_words = [w for w in words if w.weight == 0]
+    zero_words = [w for w in words if not w.support]
     assert len(zero_words) == 1
-    assert all(w.weight == nonzero_weight for w in words if w.weight)
+    assert all(len(w.support) == nonzero_weight for w in words if w.support)
 
 
 def test_odd_weight_column_count(nonsys, classic32, sys42):

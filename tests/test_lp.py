@@ -121,8 +121,9 @@ def test_ge_constraint():
     assert out.value == -3
 
 
-def test_classic_degenerate_cycling_instance_terminates():
+def test_classic_degenerate_cycling_instance_terminates(monkeypatch):
     # The textbook cycling example; Bland's rule must terminate on it.
+    monkeypatch.setenv(lp.PIVOT_LIMIT_ENV, "10000")
     problem = lp.LpProblem.maximize(
         [Fraction(3, 4), -150, Fraction(1, 50), -6],
         [
@@ -131,16 +132,20 @@ def test_classic_degenerate_cycling_instance_terminates():
             ([0, 0, 1, 0], lp.LE, 1),
         ],
     )
-    out = lp.solve(problem, pivot_limit=10_000)
+    out = lp.solve(problem)
     assert out.status == lp.OPTIMAL
     assert out.value == brute_lp_max(problem)
     assert evaluate_constraints(problem, out.solution)
 
 
-def test_pivot_limit_is_enforced():
+def test_pivot_limit_is_enforced(monkeypatch):
+    # One pivot solves this LP: a ceiling of 1 allows it, and 0 does not.
     problem = lp.LpProblem.maximize([1, 1], [([1, 1], lp.LE, 1)])
+    monkeypatch.setenv(lp.PIVOT_LIMIT_ENV, "1")
+    assert lp.solve(problem).value == 1
+    monkeypatch.setenv(lp.PIVOT_LIMIT_ENV, "0")
     with pytest.raises(lp.PivotLimitError):
-        lp.solve(problem, pivot_limit=0)
+        lp.solve(problem)
 
 
 def test_pivot_limit_env_override(monkeypatch):
@@ -283,7 +288,7 @@ def _final_tableau(columns, rhs, weights) -> lp._Tableau:
             dense[r][j] = 1
     problem = lp.LpProblem.maximize(weights, zip(dense, [lp.LE] * len(rhs), rhs))
     tab = lp._Tableau(problem)
-    assert tab.phase2(problem.objective, lp.DEFAULT_PIVOT_LIMIT) == lp.OPTIMAL
+    assert tab.phase2(problem.objective) == lp.OPTIMAL
     return tab
 
 

@@ -12,14 +12,14 @@ from oracles import equivalent_generator, exhaustive_recovery_sets
 
 def test_systematic_path_classic_symbol_lists(classic32):
     system = recovery.build_recovery_system(classic32)
-    assert set(system.sets_for(1)) == CLASSIC_RECOVERY[1]
-    assert set(system.sets_for(4)) == CLASSIC_RECOVERY[4]
+    assert set(system.per_symbol[0]) == CLASSIC_RECOVERY[1]
+    assert set(system.per_symbol[3]) == CLASSIC_RECOVERY[4]
 
 
 def test_systematic_path_counts_r4(sys42):
     system = recovery.build_recovery_system(sys42)
     for i in (1, 6, 11):
-        sets = system.sets_for(i)
+        sets = system.per_symbol[i - 1]
         assert len(sets) == 9
         assert sorted(len(s) for s in sets) == [1] + [7] * 8
 
@@ -33,26 +33,26 @@ def test_fast_equals_general_all_symbols_r3_r4(classic32, sys42):
     for code in (classic32, sys42):
         system = recovery.build_recovery_system(code)
         for i in range(1, code.k + 1):
-            assert list(system.sets_for(i)) == exhaustive_recovery_sets(code, i)
+            assert list(system.per_symbol[i - 1]) == exhaustive_recovery_sets(code, i)
 
 
 def test_fast_equals_general_one_symbol_ternary(sys33):
     system = recovery.build_recovery_system(sys33)
-    assert list(system.sets_for(1)) == exhaustive_recovery_sets(sys33, 1)
+    assert list(system.per_symbol[0]) == exhaustive_recovery_sets(sys33, 1)
 
 
 def test_build_recovery_system_golden(classic32):
     system = recovery.build_recovery_system(classic32)
     assert system.total_sets() == 20
     for i in range(1, 5):
-        assert set(system.sets_for(i)) == CLASSIC_RECOVERY[i]
+        assert set(system.per_symbol[i - 1]) == CLASSIC_RECOVERY[i]
 
 
 def test_build_recovery_system_nonsystematic_sizes(nonsys):
     system = recovery.build_recovery_system(nonsys)
     assert [len(s) for s in system.per_symbol] == [7, 7, 5, 5]
     for i in range(1, 5):
-        assert set(system.sets_for(i)) == NONSYS_RECOVERY[i]
+        assert set(system.per_symbol[i - 1]) == NONSYS_RECOVERY[i]
 
 
 def test_build_recovery_system_ternary_counts(sys33):
@@ -112,7 +112,9 @@ def test_canonical_ordering_and_json(classic32):
 def test_structure_report_laws(r, q):
     code = codes.systematic_hamming(r, q)
     report = recovery.structure_report(recovery.build_recovery_system(code))
-    assert report.all_ok
+    assert report.cardinality_law_ok
+    assert report.count_law_ok
+    assert report.incidence_law_ok
     assert set(report.cardinality_histogram) == {1, q ** (r - 1) - 1}
     assert set(report.nonsingleton_per_symbol) == {q ** (r - 1)}
     assert report.incidence_range == ((q - 1) * q ** (r - 2),) * 2
@@ -127,7 +129,7 @@ def test_composition_count_examples(classic32, sys42):
     sys3 = recovery.build_recovery_system(classic32)
     assert recovery.count_by_nonsystematic_nodes(sys3, 3) == 1
     # The single all-parity set is (1,2,4), recovering the last symbol.
-    assert (1, 2, 4) in sys3.sets_for(4)
+    assert (1, 2, 4) in sys3.per_symbol[3]
     sys4 = recovery.build_recovery_system(sys42)
     assert recovery.count_by_nonsystematic_nodes(sys4, 1) == 28
     total = sum(recovery.count_by_nonsystematic_nodes(sys4, t) for t in range(5))
@@ -180,7 +182,7 @@ def test_coset_system_equals_oracle_ham32(rng):
     code = _scrambled(3, 2, rng)
     system = recovery.build_recovery_system(code)
     for i in range(1, code.k + 1):
-        assert list(system.sets_for(i)) == exhaustive_recovery_sets(code, i)
+        assert list(system.per_symbol[i - 1]) == exhaustive_recovery_sets(code, i)
 
 
 @pytest.mark.parametrize("r,q", [(4, 2), (3, 3)])
@@ -190,7 +192,7 @@ def test_coset_system_equals_oracle_sampled(r, q, rng):
     code = _scrambled(r, q, rng)
     system = recovery.build_recovery_system(code)
     i = rng.randrange(1, code.k + 1)
-    assert list(system.sets_for(i)) == exhaustive_recovery_sets(code, i)
+    assert list(system.per_symbol[i - 1]) == exhaustive_recovery_sets(code, i)
 
 
 @pytest.mark.parametrize("r,q", [(5, 2), (4, 3)])

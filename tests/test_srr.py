@@ -203,7 +203,7 @@ def test_restricted_lps_match_full_lp(nonsys, data):
     if subset_bound_applies:
         assert srr.subset_bound(instance, subset).computed == full
     else:
-        assert srr._rewarded_max(instance, subset, None) == full
+        assert srr._rewarded_max(instance, subset) == full
 
 
 def test_delta_values(classic32_instance, sys42_instance, nonsys_instance):
@@ -404,7 +404,7 @@ def test_verify_report_classic_and_r4(classic32, sys42):
     report = srr.verify_report(classic32)
     assert report.all_pass
     assert not report.skipped
-    report4 = srr.verify_report(sys42, subset_samples=12, uniform_samples=8)
+    report4 = srr.verify_report(sys42, samples=12)
     assert report4.all_pass
     data = report4.to_json_dict()
     assert data["all_pass"] is True
@@ -427,7 +427,7 @@ def test_verify_report_nonsystematic(nonsys):
 
 
 def test_verify_report_ternary_skips_binary_laws(sys33):
-    report = srr.verify_report(sys33, mixed_demands=2)
+    report = srr.verify_report(sys33)
     assert report.all_pass
     assert any("binary" in s for s in report.skipped)
 
