@@ -27,7 +27,6 @@ from .recovery import (
     RecoverySystem,
     StructureReport,
     build_recovery_system,
-    count_by_nonsystematic_nodes,
     structure_report,
 )
 from .srr import (

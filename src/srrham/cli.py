@@ -55,22 +55,17 @@ def _symbols_arg(text: str, k: int) -> list[int]:
 
 def _load_instance(args) -> srr.SrrInstance:
     """The code file ``args.code`` as a region instance at ``args.capacity``."""
-    code = _load_code(args.code)
-    capacity = parse_rational(args.capacity)
-    if capacity <= 0:
-        raise ValueError("capacity must be positive")
-    return srr.SrrInstance.for_code(code, capacity)
+    return srr.SrrInstance.for_code(_load_code(args.code), parse_rational(args.capacity))
+
+
+def _hamming(args) -> codes.LinearCode:
+    """Ham(args.r, args.q) in the layout that ``args.systematic`` picks."""
+    build = codes.systematic_hamming if args.systematic else codes.classic_hamming
+    return build(args.r, args.q)
 
 
 def _cmd_gen(args) -> dict:
-    if args.q < 2:
-        raise ValueError("q must be a prime >= 2")
-    code = (
-        codes.systematic_hamming(args.r, args.q)
-        if args.systematic
-        else codes.classic_hamming(args.r, args.q)
-    )
-    return code.to_json_dict()
+    return _hamming(args).to_json_dict()
 
 
 def _cmd_import(args) -> dict:
@@ -163,14 +158,10 @@ def _cmd_m3(args) -> dict:
 def _cmd_verify(args) -> dict:
     if args.code:
         code = _load_code(args.code)
+    elif args.r is None or args.q is None:
+        raise ValueError("verify needs either --code FILE or -r and -q")
     else:
-        if args.r is None or args.q is None:
-            raise ValueError("verify needs either --code FILE or -r and -q")
-        code = (
-            codes.systematic_hamming(args.r, args.q)
-            if args.systematic
-            else codes.classic_hamming(args.r, args.q)
-        )
+        code = _hamming(args)
     return srr.verify_report(code, args.seed, args.samples).to_json_dict()
 
 

@@ -4,9 +4,9 @@ Two deterministic layouts are provided.  ``classic_hamming`` orders the
 parity-check columns by counting (for q=2 column i is the binary expansion of
 i, most significant bit on top) and places the data symbols at the columns of
 weight >= 2, which is the usual textbook presentation.  ``systematic_hamming``
-produces the standard form G = [I_k | P], H = [-P^T | I_r].  Either way the
-code is a [(q^r-1)/(q-1), n-r, 3] code whose dual has all nonzero words of
-weight q^(r-1).
+reorders the classic code's columns into the standard form G = [I_k | P],
+H = [-P^T | I_r].  Either way the code is a [(q^r-1)/(q-1), n-r, 3] code
+whose dual has all nonzero words of weight q^(r-1).
 
 All coordinates in reported sets and JSON are 1-based.
 """
@@ -42,8 +42,8 @@ class LinearCode:
 
     ``systematic_positions`` lists, for each data symbol i, the 1-based
     generator column equal to a nonzero multiple of e_i; it is None when no
-    full set of k such columns exists.  ``d`` and ``d_dual`` are the closed
-    forms 3 and q^(r-1), which the Hamming property checked on import fixes.
+    full set of k such columns exists.  ``d`` is the closed form 3, which the
+    Hamming property checked on import fixes.
     """
 
     q: int
@@ -54,15 +54,6 @@ class LinearCode:
     parity_check: FieldMatrix
     systematic_positions: Optional[tuple[int, ...]]
     d: int
-    d_dual: int
-
-    def systematic_column(self, symbol: int) -> Optional[int]:
-        """1-based column storing data symbol ``symbol`` uncoded, if any."""
-        if not 1 <= symbol <= self.k:
-            raise ValueError(f"symbol {symbol} out of range 1..{self.k}")
-        if self.systematic_positions is not None:
-            return self.systematic_positions[symbol - 1]
-        return scaled_unit_columns(self.generator).get(symbol)
 
     def to_json_dict(self) -> dict:
         return {
@@ -116,40 +107,13 @@ def _column_weight(col: Sequence[int]) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def systematic_hamming(r: int, q: int) -> LinearCode:
-    """Standard-form Ham(r, q): G = [I_k | P], H = [-P^T | I_r].
-
-    The left block of H collects the weight->=2 canonical columns in their
-    lexicographic order; each parity column of G then has weight q^(r-1) - 1.
-    """
-    h0 = build_parity_check(r, q)
-    n, k = h0.cols, h0.cols - r
-    heavy = [j for j in range(n) if _column_weight(h0.column(j)) >= 2]
-    unit = [j for j in range(n) if _column_weight(h0.column(j)) == 1]
-    # Order the identity block so column k+m is e_m.
-    unit.sort(key=lambda j: next(i for i, v in enumerate(h0.column(j)) if v != 0))
-    h = h0.select_columns(heavy + unit)
-    b_cols = [h.column(j) for j in range(k)]
-    gen_rows = []
-    for i in range(k):
-        row = [1 if j == i else 0 for j in range(k)]
-        row += [(-b_cols[i][m]) % q for m in range(r)]
-        gen_rows.append(tuple(row))
-    generator = FieldMatrix(q, tuple(gen_rows))
-    return _finish_code(generator, h, q, r, tuple(range(1, k + 1)))
-
-
-@functools.lru_cache(maxsize=None)
 def classic_hamming(r: int, q: int) -> LinearCode:
     """Ham(r, q) with counting-ordered H and data symbols at weight->=2 columns."""
     h = build_parity_check(r, q)
     n, k = h.cols, h.cols - r
     data = [j for j in range(n) if _column_weight(h.column(j)) >= 2]
-    parity = {}
-    for j in range(n):
-        col = h.column(j)
-        if _column_weight(col) == 1:
-            parity[next(i for i, v in enumerate(col) if v != 0)] = j
+    # The other columns are the unit vectors e_m (leading coefficient 1).
+    parity = {h.column(j).index(1): j for j in range(n) if j not in data}
     gen_rows = []
     for i in range(k):
         row = [0] * n
@@ -159,6 +123,24 @@ def classic_hamming(r: int, q: int) -> LinearCode:
         gen_rows.append(tuple(row))
     generator = FieldMatrix(q, tuple(gen_rows))
     return _finish_code(generator, h, q, r, tuple(j + 1 for j in data))
+
+
+@functools.lru_cache(maxsize=None)
+def systematic_hamming(r: int, q: int) -> LinearCode:
+    """Standard-form Ham(r, q): G = [I_k | P], H = [-P^T | I_r].
+
+    The classic code with its columns reordered: first the data columns in
+    order, then the unit parity columns ordered by the row holding their 1.
+    Each parity column of G then has weight q^(r-1) - 1.
+    """
+    classic = classic_hamming(r, q)
+    g, h = classic.generator, classic.parity_check
+    data = [j - 1 for j in classic.systematic_positions]
+    # The other columns of the classic H are the unit vectors; e_m goes to k + m.
+    unit = sorted(set(range(classic.n)) - set(data), key=lambda j: h.column(j).index(1))
+    cols = data + unit
+    positions = tuple(range(1, classic.k + 1))
+    return _finish_code(g.select_columns(cols), h.select_columns(cols), q, r, positions)
 
 
 def scaled_unit_columns(generator: FieldMatrix) -> dict[int, int]:
@@ -189,7 +171,6 @@ def _finish_code(
         parity_check=parity_check,
         systematic_positions=systematic_positions,
         d=3,
-        d_dual=q ** (r - 1),
     )
 
 

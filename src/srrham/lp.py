@@ -103,12 +103,15 @@ class LpOutcome:
 
 def _resolve_pivot_limit() -> int:
     env = os.environ.get(PIVOT_LIMIT_ENV)
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"bad {PIVOT_LIMIT_ENV} value {env!r}") from exc
-    return DEFAULT_PIVOT_LIMIT
+    if not env:
+        return DEFAULT_PIVOT_LIMIT
+    try:
+        limit = int(env)
+    except ValueError:
+        limit = -1  # rejected below, like a negative ceiling
+    if limit < 0:
+        raise ValueError(f"bad {PIVOT_LIMIT_ENV} value {env!r}")
+    return limit
 
 
 def _integer_row(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[list[int], Fraction]:

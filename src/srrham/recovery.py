@@ -157,6 +157,11 @@ def structure_report(system: RecoverySystem) -> StructureReport:
     """Check the structural laws of a systematic Ham(r, q) recovery system:
     cardinalities in {1, q^(r-1)-1}, exactly q^(r-1) non-singleton sets per
     symbol, and every other node incident to (q-1)q^(r-2) of a symbol's sets.
+
+    For binary codes ``t_counts[t]`` counts the non-singleton sets (over all
+    symbols) with exactly t non-systematic nodes, t = 0..r; for 1 <= t <= r
+    it equals C(r, t) * (2^(r-1) - t), and t = 0 yields 0 because no
+    recovery set avoids the parity columns entirely.  It is None for q > 2.
     """
     code = system.code
     if code.systematic_positions is None:
@@ -166,7 +171,9 @@ def structure_report(system: RecoverySystem) -> StructureReport:
     expected_count = q ** (r - 1)
     expected_incidence = (q - 1) * q ** (r - 2)
 
+    systematic = set(code.systematic_positions)
     histogram: dict[int, int] = {}
+    t_counts = {t: 0 for t in range(r + 1)} if q == 2 else None
     nonsingleton = []
     incidences = []
     for i, sets in enumerate(system.per_symbol, start=1):
@@ -178,13 +185,10 @@ def structure_report(system: RecoverySystem) -> StructureReport:
             for v in members:
                 if v != s:
                     per_node[v] += 1
+            if t_counts is not None and len(members) > 1:
+                t_counts[sum(1 for v in members if v not in systematic)] += 1
         incidences.extend(per_node.values())
 
-    t_counts = None
-    if code.q == 2:
-        t_counts = {
-            t: count_by_nonsystematic_nodes(system, t) for t in range(0, r + 1)
-        }
     return StructureReport(
         cardinality_histogram=dict(sorted(histogram.items())),
         nonsingleton_per_symbol=tuple(nonsingleton),
@@ -195,25 +199,3 @@ def structure_report(system: RecoverySystem) -> StructureReport:
         incidence_law_ok=all(v == expected_incidence for v in incidences),
     )
 
-
-def count_by_nonsystematic_nodes(system: RecoverySystem, t: int) -> int:
-    """Non-singleton sets (over all symbols) with exactly t non-systematic nodes.
-
-    Binary systematic codes only.  For 1 <= t <= r the count equals
-    C(r, t) * (2^(r-1) - t); no recovery set avoids the parity columns
-    entirely, so t = 0 always yields 0.
-    """
-    code = system.code
-    if code.q != 2:
-        raise ValueError("composition counts are defined for q = 2 only")
-    if code.systematic_positions is None:
-        raise ValueError("composition counts require a systematic code")
-    if not 0 <= t <= code.r:
-        raise ValueError(f"t must be in 0..{code.r}, got {t}")
-    parity_nodes = set(range(1, code.n + 1)) - set(code.systematic_positions)
-    count = 0
-    for sets in system.per_symbol:
-        for members in sets:
-            if len(members) > 1 and sum(1 for v in members if v in parity_nodes) == t:
-                count += 1
-    return count

@@ -30,7 +30,7 @@ from typing import Collection, Iterable, Optional, Sequence
 
 from . import hypergraph as hg
 from . import lp
-from .codes import LinearCode, odd_weight_column_count
+from .codes import LinearCode, odd_weight_column_count, scaled_unit_columns
 from .fields import format_rational, parse_rational
 from .recovery import (
     RecoverySet,
@@ -352,6 +352,8 @@ def waterfill(
         raise ValueError("waterfilling requires a systematic code")
     if len(demand) != code.k:
         raise ValueError(f"demand length {len(demand)} != k = {code.k}")
+    if max_events < 0:
+        raise ValueError(f"max_events must be nonnegative, got {max_events}")
     demand = tuple(Fraction(x) for x in demand)
     if any(x < 0 for x in demand):
         raise ValueError("demand rates must be nonnegative")
@@ -528,9 +530,13 @@ def verify_report(
 
     Laws that do not apply (binary-only bounds on a ternary code, systematic
     structure on a non-systematic matrix) are recorded as skipped rather than
-    failed.  ``samples`` caps how many pairs, triples and random subsets are
-    checked; it never affects the exactness of any one check.
+    failed.  ``samples`` (at least 1) caps how many pairs, triples and random
+    subsets are checked; it never affects the exactness of any one check.
+    The total service rate is the fractional matching number mu_f of the
+    recovery hypergraph: at capacity 1 both are the same packing LP.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = random.Random(seed)
     q, r, k = code.q, code.r, code.k
     systematic = code.systematic_positions is not None
@@ -591,13 +597,8 @@ def verify_report(
         [stats.nu, _rat(stats.mu_f), stats.tau],
         stats.nu <= stats.mu_f <= stats.tau,
     )
-    n_sys_cols = len(
-        {
-            j
-            for j in (code.systematic_column(i) for i in range(1, k + 1))
-            if j is not None
-        }
-    )
+    unit_columns = scaled_unit_columns(code.generator)
+    n_sys_cols = len(unit_columns)
     report.add(
         "matching number >= systematic column count",
         f">= {n_sys_cols}",
@@ -606,18 +607,12 @@ def verify_report(
     )
     if q == 2:
         o_w = odd_weight_column_count(code)
-        total, _, _ = max_objective(instance, [_ONE] * k)
+        total = stats.mu_f
         report.add(
             "total service rate <= odd-weight column count",
             f"<= {o_w}",
             _rat(total),
             total <= o_w,
-        )
-        report.add(
-            "total service rate equals fractional matching number",
-            _rat(stats.mu_f),
-            _rat(total),
-            total == stats.mu_f,
         )
         if systematic:
             predicted_total = 5 if r == 3 else k
@@ -649,10 +644,9 @@ def verify_report(
             all(s == predicted_star for s in stars),
         )
     else:
-        predictions = {}
-        for i in range(1, k + 1):
-            if code.systematic_column(i) is not None:
-                predictions[i] = Fraction(2 * q - 1, q - 1)
+        predictions = {
+            i: Fraction(2 * q - 1, q - 1) for i in range(1, k + 1) if i in unit_columns
+        }
         report.add(
             "single-object maxima (systematic-server symbols)",
             {i: _rat(v) for i, v in predictions.items()},

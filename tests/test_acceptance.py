@@ -168,10 +168,11 @@ def test_criterion_08_composition_counts():
         for r in (3, 4, 5):
             code = codes.systematic_hamming(r, 2)
             system = recovery.build_recovery_system(code)
-            assert recovery.count_by_nonsystematic_nodes(system, 0) == 0
+            counts = recovery.structure_report(system).t_counts
+            assert counts[0] == 0
             total = 0
             for t in range(1, r + 1):
-                count = recovery.count_by_nonsystematic_nodes(system, t)
+                count = counts[t]
                 assert count == math.comb(r, t) * (2 ** (r - 1) - t)
                 total += count
             assert total == (2 ** r - 1 - r) * 2 ** (r - 1)

@@ -35,6 +35,30 @@ def test_gen_systematic_golden(capsys):
     assert len(data["parity_check"]) == 3
 
 
+# sha256 of `gen -r R -q Q --systematic` stdout, recorded while the standard
+# form still had its own G/H construction; it is now the classic code with
+# its columns reordered, and must keep these bytes.
+@pytest.mark.parametrize(
+    "r,q,sha",
+    [
+        (2, 2, "0b47a8763c170ec41c8c68ff0688f8521c6c64069425b965703d70d9d011c7b1"),
+        (3, 2, "d7691b70bf6c72df858c37195714e2c4191a2100c8bc75a08a875a2f8fcaf586"),
+        (4, 2, "9dfb374c2b9e50ad4e80e229b8b46405a0ec13f5751516e857d4e9bc3d78d8f9"),
+        (5, 2, "447e0afffae0cb55872a2a74e2c644b8cb108f74febec8190523203ee64fb9e8"),
+        (6, 2, "9eecbf552247a5b49a387912e900d77d0b2458b4ca3f7daea7c67c1972c3a0d8"),
+        (2, 3, "a89141cf137ca3f77016e3d8af1c9a94beecc32de3cd00a0afb4206a7db38335"),
+        (3, 3, "da67c78677b85bc39b2437c86f6620ce7614bf6cb3811d5d9c08f12c710661ee"),
+        (4, 3, "cd8b1f055c8f9cbfbd94389e64e81a39fa2d3edc88a33be264f3b8fec07abdc1"),
+        (2, 5, "34bc31c8fb2bd64774d4debd8e4101016f74811825f6d8f6225e3c874fece879"),
+        (3, 5, "c20371f818a7325b71da935215a24d449f5fa963396a8fee1e1a93ea0bf40b2e"),
+        (2, 7, "b7001566f6d90af7c027bbb2c81b684365058eee3132f525674b9e63846fc45e"),
+    ],
+)
+def test_gen_systematic_pinned_stdout(capsys, r, q, sha):
+    rc, out, _ = run_cli(capsys, "gen", "-r", str(r), "-q", str(q), "--systematic")
+    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (0, sha)
+
+
 def test_gen_classic_matches_worked_matrices(capsys):
     rc, out, _ = run_cli(capsys, "gen", "-r", "3", "-q", "2")
     data = json.loads(out)
@@ -172,6 +196,12 @@ def test_verify_command(tmp_path, capsys):
     assert data["code"]["systematic_positions"] == [3, 5, 6, 7]
 
 
+def test_verify_rejects_zero_samples(capsys):
+    rc, out, err = run_cli(capsys, "verify", "-r", "3", "-q", "2", "--samples", "0")
+    assert (rc, out) == (2, "")
+    assert "samples must be at least 1" in err
+
+
 def test_slice_command(tmp_path, capsys):
     path = gen_file(tmp_path, "gen", "-r", "3", "-q", "2")
     rc, out, _ = run_cli(
@@ -236,8 +266,10 @@ EMPTY_SHA = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 # Exit code and sha256 of stdout for classic Ham(3,2), classic Ham(3,3) and
 # NONSYS_G, recorded before membership moved onto the packing LP; the delta,
 # lambda-star-2, max-zeros and subset-ab rows were recorded before lambda*
-# and subset bounds kept only the rewarded symbols' sets.  subset is defined
-# for binary systematic codes only, so two of its runs exit 2.
+# and subset bounds kept only the rewarded symbols' sets; the verify rows of
+# h32 and nonsys were re-recorded when verify stopped comparing the sum-rate
+# LP with mu_f (one check object fewer).  subset is defined for binary
+# systematic codes only, so two of its runs exit 2.
 @pytest.mark.parametrize(
     "command,name,rc,sha",
     [
@@ -246,7 +278,7 @@ EMPTY_SHA = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
         ("lambda-star", "h32", 0, "563742ace460cce4d36cd0ef7ea064233231604ef0b93165b15061cbfc5b2be2"),
         ("subset", "h32", 0, "252347e937b2229b782f98974dd17b8416d1f6188d89dbba43b23ca85890965e"),
         ("stats", "h32", 0, "56f990d5db6ef9f7ff54d0baa9772995729e5d4e06e27bd6ac5691eda42fb520"),
-        ("verify", "h32", 0, "e1f399c52ea341b6d36c4e9d4b658575f46c3a481bf8e64302f360b595005bce"),
+        ("verify", "h32", 0, "34101afda2f48260c02815edeced4bf39443d30225ef452239385c0442c8244c"),
         ("check", "h33", 0, "31b5298f6074fac16bb2313711027299ebbf729b4ed15a33f8dbce3b8baa7493"),
         ("max", "h33", 0, "78890816e05fe19609660ff8187602c4c5088a35f2db6ebfe2e76655d26d4b27"),
         ("lambda-star", "h33", 0, "cfa7895cece4efab79cd6b5d3d89d9767a56ad6d02a5a65bc40d59dce8c10241"),
@@ -258,7 +290,7 @@ EMPTY_SHA = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
         ("lambda-star", "nonsys", 0, "ca3d4efd4190a7c25063908b3628b4f3451cedf487dba14cadb8340a0e7e4e87"),
         ("subset", "nonsys", 2, EMPTY_SHA),
         ("stats", "nonsys", 0, "d0d082fe1b2abdcbb663678dd00472b81a0fede26dcd78a96ca0442a15438827"),
-        ("verify", "nonsys", 0, "06cb642c382b9042d2a0ec0c29ef95123f52962267617f970e9b869e28d0924b"),
+        ("verify", "nonsys", 0, "be9e0e3c5b28f08ebfb3e84c46f3ebd09b7d8fbb033f604011f5f7b04fc5b682"),
         ("delta", "h32", 0, "fc7d5b7badeb797320ed95788d4100b7976b0e34e23d16fd522f38affd8c9095"),
         ("lambda-star-2", "h32", 0, "75651460907a15541ddce817582affe6c3d75165570514d12ebbe185e2935aed"),
         ("max-zeros", "h32", 0, "41e8b6fd0f0e83050fe7003f1fa07090fab4b73551766731afd3f4a14f508584"),
@@ -402,6 +434,15 @@ def test_event_ceiling_exits_3_with_counters(tmp_path, capsys):
     assert "2 events done, 2 symbols still have a residual" in err
 
 
+def test_negative_event_ceiling_exits_2(tmp_path, capsys):
+    path = gen_file(tmp_path, "gen", "-r", "3", "-q", "2", "--systematic")
+    rc, out, err = run_cli(
+        capsys, "waterfill", path, "--demand", "1,1,1,1", "--max-events", "-1"
+    )
+    assert (rc, out) == (2, "")
+    assert "max_events must be nonnegative" in err
+
+
 def test_bad_json_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"q": 2,')
@@ -475,6 +516,14 @@ def test_pivot_env_ceiling_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(lp.PIVOT_LIMIT_ENV, "1")
     rc, _, err = run_cli(capsys, "check", path, "--demand", "1,1,1,2")
     assert rc == 3
+
+
+def test_negative_env_pivot_ceiling_exits_2(tmp_path, capsys, monkeypatch):
+    path = gen_file(tmp_path, "gen", "-r", "3", "-q", "2")
+    monkeypatch.setenv(lp.PIVOT_LIMIT_ENV, "-5")
+    rc, out, err = run_cli(capsys, "check", path, "--demand", "1,1,1,2")
+    assert (rc, out) == (2, "")
+    assert f"bad {lp.PIVOT_LIMIT_ENV} value '-5'" in err
 
 
 def test_out_flag_writes_identical_bytes(tmp_path, capsys):

@@ -76,12 +76,13 @@ def test_orthogonality_and_ranks(r, q):
 def test_minimum_distances_by_brute_force(r, q):
     c = codes.systematic_hamming(r, q)
     assert c.d == min_weight(c.generator) == 3
-    assert c.d_dual == min_weight(c.parity_check) == q ** (r - 1)
+    assert min_weight(c.parity_check) == q ** (r - 1)
 
 
 def test_ham52_distances_assumed_from_closed_form():
     c = codes.systematic_hamming(5, 2)
-    assert (c.d, c.d_dual) == (3, 16)
+    assert c.d == 3
+    assert min_weight(c.parity_check) == 16
     # Spot-check d: pairwise independent parity-check columns rule out
     # weights 1 and 2.
     reps = {c.parity_check.column(j) for j in range(c.n)}
@@ -92,10 +93,9 @@ def test_import_nonsystematic_worked_generator():
     c = codes.import_generator(NONSYS_G, 2)
     assert c.systematic_positions is None
     # Symbols c and d do have systematic servers at columns 7 and 4.
-    assert c.systematic_column(3) == 7
-    assert c.systematic_column(4) == 4
-    assert c.systematic_column(1) is None
-    assert (c.d, c.d_dual) == (3, 4)
+    assert codes.scaled_unit_columns(c.generator) == {3: 7, 4: 4}
+    assert c.d == 3
+    assert min_weight(c.parity_check) == 4
 
 
 def test_import_roundtrip_systematic():

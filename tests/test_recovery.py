@@ -127,35 +127,30 @@ def test_structure_report_rejects_nonsystematic(nonsys):
 
 def test_composition_count_examples(classic32, sys42):
     sys3 = recovery.build_recovery_system(classic32)
-    assert recovery.count_by_nonsystematic_nodes(sys3, 3) == 1
+    assert recovery.structure_report(sys3).t_counts[3] == 1
     # The single all-parity set is (1,2,4), recovering the last symbol.
     assert (1, 2, 4) in sys3.per_symbol[3]
-    sys4 = recovery.build_recovery_system(sys42)
-    assert recovery.count_by_nonsystematic_nodes(sys4, 1) == 28
-    total = sum(recovery.count_by_nonsystematic_nodes(sys4, t) for t in range(5))
-    assert total == 11 * 8
+    counts = recovery.structure_report(recovery.build_recovery_system(sys42)).t_counts
+    assert counts[1] == 28
+    assert sorted(counts) == list(range(5))
+    assert sum(counts.values()) == 11 * 8
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])
 def test_composition_count_formula(r):
     code = codes.systematic_hamming(r, 2)
-    system = recovery.build_recovery_system(code)
+    counts = recovery.structure_report(recovery.build_recovery_system(code)).t_counts
     for t in range(1, r + 1):
-        want = math.comb(r, t) * (2 ** (r - 1) - t)
-        assert recovery.count_by_nonsystematic_nodes(system, t) == want
+        assert counts[t] == math.comb(r, t) * (2 ** (r - 1) - t)
     # No set consists of systematic nodes alone.
-    assert recovery.count_by_nonsystematic_nodes(system, 0) == 0
+    assert counts[0] == 0
 
 
 def test_composition_count_errors(sys33, nonsys):
+    report = recovery.structure_report(recovery.build_recovery_system(sys33))
+    assert report.t_counts is None
     with pytest.raises(ValueError):
-        recovery.count_by_nonsystematic_nodes(
-            recovery.build_recovery_system(sys33), 1
-        )
-    with pytest.raises(ValueError):
-        recovery.count_by_nonsystematic_nodes(
-            recovery.build_recovery_system(nonsys), 1
-        )
+        recovery.structure_report(recovery.build_recovery_system(nonsys))
 
 
 def test_repetition_code_smoke():

@@ -214,9 +214,15 @@ def test_delta_values(classic32_instance, sys42_instance, nonsys_instance):
     assert math.ceil(delta) <= sys42_instance.code.d
 
 
-def test_max_equals_fractional_matching(nonsys_instance, nonsys_graph):
-    total, _, _ = srr.max_objective(nonsys_instance, [1] * 4)
-    mu_f, _ = hg.fractional_matching_number(nonsys_graph)
+@pytest.mark.parametrize(
+    "code", ["classic32", "sys42", "sys33", "nonsys", "gprime"]
+)
+def test_max_equals_fractional_matching(request, code):
+    # verify_report reads the sum-rate from mu_f alone; this is the check
+    # that the two routes to it agree.
+    instance = srr.SrrInstance.for_code(request.getfixturevalue(code))
+    total, _, _ = srr.max_objective(instance, [1] * instance.code.k)
+    mu_f, _ = hg.fractional_matching_number(hg.from_recovery_system(instance.system))
     assert total == mu_f
 
 
