@@ -26,12 +26,17 @@ from . import codes, hypergraph as hg, lp, recovery, srr
 from .fields import format_rational, parse_rational
 
 
-def _load_code(path: str) -> codes.LinearCode:
+def _read_code(path: str) -> dict:
+    """The code document at ``path``: a JSON object with 'generator' and 'q'."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if "generator" not in data or "q" not in data:
         raise ValueError(f"{path}: expected a code file with 'generator' and 'q'")
-    return codes.code_from_json_dict(data)
+    return data
+
+
+def _load_code(path: str) -> codes.LinearCode:
+    return codes.code_from_json_dict(_read_code(path))
 
 
 def _symbol_token(token: str, k: int) -> int:
@@ -69,12 +74,8 @@ def _cmd_gen(args) -> dict:
 
 
 def _cmd_import(args) -> dict:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if "generator" not in data or "q" not in data:
-        raise ValueError(f"{args.file}: expected 'generator' and 'q'")
-    code = codes.import_generator(data["generator"], int(data["q"]))
-    return code.to_json_dict()
+    data = _read_code(args.file)
+    return codes.import_generator(data["generator"], int(data["q"])).to_json_dict()
 
 
 def _cmd_recovery(args) -> dict:
@@ -103,10 +104,7 @@ def _cmd_check(args) -> dict:
 
 def _cmd_max(args) -> dict:
     instance = _load_instance(args)
-    k = instance.code.k
     weights = [parse_rational(t) for t in args.weights.split(",")]
-    if len(weights) != k:
-        raise ValueError(f"expected {k} weights, got {len(weights)}")
     value, demand, allocation = srr.max_objective(instance, weights)
     return {
         "value": format_rational(value),
@@ -288,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         "waterfill", parents=[region], help="greedy request-splitting allocation"
     )
     p.add_argument("--demand", required=True)
-    p.add_argument("--max-events", type=int, default=10000)
+    p.add_argument("--max-events", type=int, default=srr.WATERFILL_EVENT_LIMIT)
     p.set_defaults(func=_cmd_waterfill)
 
     p = sub.add_parser("m3", help="triples whose pairwise sums close at 3")

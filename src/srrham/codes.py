@@ -38,7 +38,7 @@ class Codeword:
 
 @dataclass(frozen=True)
 class LinearCode:
-    """A q-ary Hamming code with both describing matrices.
+    """A q-ary Hamming code: both describing matrices, which fix n, k and r.
 
     ``systematic_positions`` lists, for each data symbol i, the 1-based
     generator column equal to a nonzero multiple of e_i; it is None when no
@@ -47,13 +47,23 @@ class LinearCode:
     """
 
     q: int
-    r: int
-    n: int
-    k: int
     generator: FieldMatrix
     parity_check: FieldMatrix
     systematic_positions: Optional[tuple[int, ...]]
-    d: int
+
+    d = 3
+
+    @property
+    def n(self) -> int:
+        return self.generator.cols
+
+    @property
+    def k(self) -> int:
+        return self.generator.rows
+
+    @property
+    def r(self) -> int:
+        return self.parity_check.rows
 
     def to_json_dict(self) -> dict:
         return {
@@ -122,7 +132,7 @@ def classic_hamming(r: int, q: int) -> LinearCode:
             row[parity[m]] = (-h.entries[m][data[i]]) % q
         gen_rows.append(tuple(row))
     generator = FieldMatrix(q, tuple(gen_rows))
-    return _finish_code(generator, h, q, r, tuple(j + 1 for j in data))
+    return LinearCode(q, generator, h, tuple(j + 1 for j in data))
 
 
 @functools.lru_cache(maxsize=None)
@@ -140,7 +150,7 @@ def systematic_hamming(r: int, q: int) -> LinearCode:
     unit = sorted(set(range(classic.n)) - set(data), key=lambda j: h.column(j).index(1))
     cols = data + unit
     positions = tuple(range(1, classic.k + 1))
-    return _finish_code(g.select_columns(cols), h.select_columns(cols), q, r, positions)
+    return LinearCode(q, g.select_columns(cols), h.select_columns(cols), positions)
 
 
 def scaled_unit_columns(generator: FieldMatrix) -> dict[int, int]:
@@ -153,25 +163,6 @@ def scaled_unit_columns(generator: FieldMatrix) -> dict[int, int]:
             symbol = nonzero[0] + 1
             out.setdefault(symbol, j + 1)
     return out
-
-
-def _finish_code(
-    generator: FieldMatrix,
-    parity_check: FieldMatrix,
-    q: int,
-    r: int,
-    systematic_positions: Optional[tuple[int, ...]],
-) -> LinearCode:
-    return LinearCode(
-        q=q,
-        r=r,
-        n=generator.cols,
-        k=generator.rows,
-        generator=generator,
-        parity_check=parity_check,
-        systematic_positions=systematic_positions,
-        d=3,
-    )
 
 
 def import_generator(
@@ -198,9 +189,15 @@ def import_generator(
         )
     if parity_check is None:
         parity_check = kernel_basis(generator)
-    elif rank(parity_check) != r or not generator.mul(
-        parity_check.transpose()
-    ).is_zero():
+    elif (
+        parity_check.cols != n
+        or rank(parity_check) != r
+        or any(
+            sum(a * b for a, b in zip(g, h)) % q
+            for g in generator.entries
+            for h in parity_check.entries
+        )
+    ):
         raise ValueError("provided parity check does not match the generator")
     if parity_check.rows != r:
         raise ValueError("dual dimension mismatch")
@@ -216,13 +213,12 @@ def import_generator(
         raise ValueError(
             "parity check violates Hamming property: dependent column pair"
         )
+    # Its keys are data symbols, so k of them means every symbol has one.
     unit_cols = scaled_unit_columns(generator)
     positions = (
-        tuple(unit_cols[i] for i in range(1, k + 1))
-        if all(i in unit_cols for i in range(1, k + 1))
-        else None
+        tuple(unit_cols[i] for i in range(1, k + 1)) if len(unit_cols) == k else None
     )
-    return _finish_code(generator, parity_check, q, r, positions)
+    return LinearCode(q, generator, parity_check, positions)
 
 
 @functools.lru_cache(maxsize=None)

@@ -8,6 +8,7 @@ arbitrary precision, always in lowest terms, never floats.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -37,6 +38,13 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed rational {text!r}") from exc
+
+
+def exact_rational(x) -> Fraction:
+    """``x`` as a Fraction; only exact rationals (ints, Fractions) are accepted."""
+    if not isinstance(x, numbers.Rational):
+        raise ValueError(f"expected an exact rational, got {x!r}")
+    return Fraction(x)
 
 
 def format_rational(x: Fraction) -> str:
@@ -79,27 +87,6 @@ class FieldMatrix:
 
     def select_columns(self, indices: Sequence[int]) -> "FieldMatrix":
         return FieldMatrix(self.q, tuple(tuple(row[j] for j in indices) for row in self.entries))
-
-    def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(self.q, tuple(zip(*self.entries)) if self.entries else ())
-
-    def mul(self, other: "FieldMatrix") -> "FieldMatrix":
-        if self.q != other.q:
-            raise ValueError("modulus mismatch")
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        cols = other.transpose().entries
-        q = self.q
-        return FieldMatrix(
-            q,
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) % q for col in cols)
-                for row in self.entries
-            ),
-        )
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.entries for v in row)
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]

@@ -22,6 +22,7 @@ raises ``lp.InvariantError``, since that is a bug and not bad input.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -31,7 +32,7 @@ from typing import Collection, Iterable, Optional, Sequence
 from . import hypergraph as hg
 from . import lp
 from .codes import LinearCode, odd_weight_column_count, scaled_unit_columns
-from .fields import format_rational, parse_rational
+from .fields import exact_rational, format_rational, parse_rational
 from .recovery import (
     RecoverySet,
     RecoverySystem,
@@ -52,6 +53,9 @@ M3_PAIR_LIMIT = 5 * 10 ** 7
 # A membership LP takes about 1 ms on Ham(3,2) and 12 ms on Ham(4,2) (on that
 # machine), so a slice grid of this many points runs for 2 to 20 minutes.
 SLICE_POINT_LIMIT = 10 ** 5
+
+# Default ceiling on waterfilling events (pour steps) before EventLimitError.
+WATERFILL_EVENT_LIMIT = 10_000
 
 
 class EventLimitError(RuntimeError):
@@ -75,19 +79,23 @@ def parse_demand(text: str, k: int) -> DemandVector:
 
 @dataclass(frozen=True)
 class SrrInstance:
-    """A code, its minimum recovery system, and the uniform node capacity."""
+    """A code's minimum recovery system and the uniform node capacity."""
 
-    code: LinearCode
     system: RecoverySystem
     capacity: Fraction = _ONE
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "capacity", exact_rational(self.capacity))
         if self.capacity <= 0:
             raise ValueError("capacity must be positive")
 
+    @property
+    def code(self) -> LinearCode:
+        return self.system.code
+
     @classmethod
     def for_code(cls, code: LinearCode, capacity=_ONE) -> "SrrInstance":
-        return cls(code, build_recovery_system(code), Fraction(capacity))
+        return cls(build_recovery_system(code), capacity)
 
     def variables(
         self, symbols: Optional[Collection[int]] = None
@@ -197,6 +205,17 @@ def _region_lp(
     return value, Allocation({var: w for var, w in zip(variables, solution) if w})
 
 
+def _demand(instance: SrrInstance, demand: Sequence[Fraction]) -> DemandVector:
+    """The demand as k exact nonnegative Fractions; raises ValueError if not."""
+    k = instance.code.k
+    if len(demand) != k:
+        raise ValueError(f"demand length {len(demand)} != k = {k}")
+    rates = tuple(exact_rational(x) for x in demand)
+    if any(x < 0 for x in rates):
+        raise ValueError("demand rates must be nonnegative")
+    return rates
+
+
 def membership(
     instance: SrrInstance, demand: Sequence[Fraction]
 ) -> tuple[bool, Optional[Allocation]]:
@@ -219,6 +238,7 @@ def max_objective(
     code = instance.code
     if len(weights) != code.k:
         raise ValueError(f"weights length {len(weights)} != k = {code.k}")
+    weights = tuple(exact_rational(w) for w in weights)
     if all(w == 0 for w in weights):
         raise ValueError("weights must not be all zero")
     value, allocation = _region_lp(instance, weights)
@@ -264,12 +284,8 @@ def max_served(
     instance: SrrInstance, demand: Sequence[Fraction]
 ) -> tuple[Fraction, Allocation]:
     """Largest total rate servable without exceeding the given per-symbol demand."""
-    code = instance.code
-    if len(demand) != code.k:
-        raise ValueError(f"demand length {len(demand)} != k = {code.k}")
-    if any(x < 0 for x in demand):
-        raise ValueError("demand rates must be nonnegative")
-    value, allocation = _region_lp(instance, [_ONE] * code.k, demand)
+    demand = _demand(instance, demand)
+    value, allocation = _region_lp(instance, [_ONE] * len(demand), demand)
     _certify(allocation, instance, ceiling=demand, value=value)
     return value, allocation
 
@@ -334,7 +350,7 @@ def subset_bound(instance: SrrInstance, symbols: Iterable[int]) -> SubsetBound:
 def waterfill(
     instance: SrrInstance,
     demand: Sequence[Fraction],
-    max_events: int = 10000,
+    max_events: int = WATERFILL_EVENT_LIMIT,
 ) -> tuple[Allocation, DemandVector, DemandVector]:
     """Greedy request splitting: systematic server first, then least load.
 
@@ -350,13 +366,9 @@ def waterfill(
     code = instance.code
     if code.systematic_positions is None:
         raise ValueError("waterfilling requires a systematic code")
-    if len(demand) != code.k:
-        raise ValueError(f"demand length {len(demand)} != k = {code.k}")
+    demand = _demand(instance, demand)
     if max_events < 0:
         raise ValueError(f"max_events must be nonnegative, got {max_events}")
-    demand = tuple(Fraction(x) for x in demand)
-    if any(x < 0 for x in demand):
-        raise ValueError("demand rates must be nonnegative")
     mu = instance.capacity
     k, n = code.k, code.n
     loads = [_ZERO] * (n + 1)
@@ -519,8 +531,15 @@ class VerificationReport:
         }
 
 
-def _rat(x) -> str:
-    return format_rational(Fraction(x))
+def _tight_on_sample(
+    instance: SrrInstance, size: int, samples: int, rng: random.Random
+) -> tuple[int, bool]:
+    """Check the subset bound of at most ``samples`` random ``size``-subsets;
+    returns how many were checked and whether every one was tight."""
+    subsets = list(itertools.combinations(range(1, instance.code.k + 1), size))
+    if len(subsets) > samples:
+        subsets = rng.sample(subsets, samples)
+    return len(subsets), all(subset_bound(instance, s).tight for s in subsets)
 
 
 def verify_report(
@@ -532,48 +551,46 @@ def verify_report(
     structure on a non-systematic matrix) are recorded as skipped rather than
     failed.  ``samples`` (at least 1) caps how many pairs, triples and random
     subsets are checked; it never affects the exactness of any one check.
+    A binary code needs r >= 3 (the laws speak of q^(r-2) and of triples),
+    so a binary r = 2 code raises ValueError before any work.
     The total service rate is the fractional matching number mu_f of the
     recovery hypergraph: at capacity 1 both are the same packing LP.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    rng = random.Random(seed)
     q, r, k = code.q, code.r, code.k
+    if q == 2 and r < 3:
+        raise ValueError(f"verify needs r >= 3 for a binary code, got r = {r}")
+    rng = random.Random(seed)
     systematic = code.systematic_positions is not None
     instance = SrrInstance.for_code(code)
-    report = VerificationReport(
-        {
-            "q": q,
-            "r": r,
-            "n": code.n,
-            "k": k,
-            "systematic_positions": (
-                list(code.systematic_positions) if systematic else None
-            ),
-        }
-    )
+    summary = code.to_json_dict()
+    del summary["generator"], summary["parity_check"]
+    report = VerificationReport(summary)
 
     # Recovery structure.
     if systematic:
         sr = structure_report(instance.system)
-        expected_sizes = {1, q ** (r - 1) - 1}
+        sizes = {1, q ** (r - 1) - 1}
         report.add(
             "recovery set cardinalities",
-            sorted(expected_sizes),
+            sorted(sizes),
             sorted(sr.cardinality_histogram),
-            sr.cardinality_law_ok,
+            set(sr.cardinality_histogram) <= sizes,
         )
+        count = q ** (r - 1)
         report.add(
             "non-singleton sets per symbol",
-            q ** (r - 1),
+            count,
             sorted(set(sr.nonsingleton_per_symbol)),
-            sr.count_law_ok,
+            all(c == count for c in sr.nonsingleton_per_symbol),
         )
+        incidence = (q - 1) * q ** (r - 2)
         report.add(
             "per-node incidence in a symbol's sets",
-            (q - 1) * q ** (r - 2),
+            incidence,
             list(sr.incidence_range),
-            sr.incidence_law_ok,
+            sr.incidence_range == (incidence, incidence),
         )
         if q == 2:
             for t in range(1, r + 1):
@@ -594,7 +611,7 @@ def verify_report(
     report.add(
         "matching <= fractional matching <= transversal",
         True,
-        [stats.nu, _rat(stats.mu_f), stats.tau],
+        [stats.nu, format_rational(stats.mu_f), stats.tau],
         stats.nu <= stats.mu_f <= stats.tau,
     )
     unit_columns = scaled_unit_columns(code.generator)
@@ -611,7 +628,7 @@ def verify_report(
         report.add(
             "total service rate <= odd-weight column count",
             f"<= {o_w}",
-            _rat(total),
+            format_rational(total),
             total <= o_w,
         )
         if systematic:
@@ -619,14 +636,14 @@ def verify_report(
             report.add(
                 "maximal total service rate",
                 predicted_total,
-                _rat(total),
+                format_rational(total),
                 total == predicted_total,
             )
         elif r == 3:
             report.add(
                 "maximal total service rate equals odd-weight count",
                 o_w,
-                _rat(total),
+                format_rational(total),
                 total == o_w,
             )
     else:
@@ -639,8 +656,8 @@ def verify_report(
         predicted_star = 1 + Fraction(q, q - 1)
         report.add(
             "single-object maximum per symbol",
-            _rat(predicted_star),
-            sorted({_rat(s) for s in stars}),
+            format_rational(predicted_star),
+            sorted({format_rational(s) for s in stars}),
             all(s == predicted_star for s in stars),
         )
     else:
@@ -649,36 +666,30 @@ def verify_report(
         }
         report.add(
             "single-object maxima (systematic-server symbols)",
-            {i: _rat(v) for i, v in predictions.items()},
-            [_rat(s) for s in stars],
+            {i: format_rational(v) for i, v in predictions.items()},
+            [format_rational(s) for s in stars],
             all(stars[i - 1] == v for i, v in predictions.items()),
         )
     report.add(
         "ceil(delta) <= minimum distance",
         f"<= {code.d}",
-        _rat(delta),
+        format_rational(delta),
         math.ceil(delta) <= code.d,
     )
     if systematic:
         report.add(
             "floor(delta) >= 2",
             ">= 2",
-            _rat(delta),
+            format_rational(delta),
             math.floor(delta) >= 2,
         )
         # Constructive two-unit witness: singleton plus one disjoint set.
         witness_ok = True
-        for i in range(1, k + 1):
-            s = code.systematic_positions[i - 1]
-            big = next(
-                m for m in instance.system.per_symbol[i - 1] if len(m) > 1
-            )
-            alloc = Allocation({(i, (s,)): _ONE, (i, big): _ONE})
+        for i, s in enumerate(code.systematic_positions, start=1):
+            big = next(m for m in instance.system.per_symbol[i - 1] if len(m) > 1)
+            demand = tuple(Fraction(2) if j == i else _ZERO for j in range(1, k + 1))
             try:
-                demand = tuple(
-                    Fraction(2) if j == i else _ZERO for j in range(1, k + 1)
-                )
-                alloc.validate(instance, demand)
+                Allocation({(i, (s,)): _ONE, (i, big): _ONE}).validate(instance, demand)
             except ValueError:
                 witness_ok = False
                 break
@@ -691,57 +702,31 @@ def verify_report(
 
     # Subset bounds and the uniformized fractional ceiling (binary systematic).
     if q == 2 and systematic:
-        pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
-        if len(pairs) > samples:
-            pairs = rng.sample(pairs, samples)
-        pair_ok = True
-        for i, j in pairs:
-            sb = subset_bound(instance, (i, j))
-            if sb.predicted != 3 or sb.computed != 3:
-                pair_ok = False
-                break
+        # Two distinct nonzero parity columns never cancel, so a pair's
+        # predicted ceiling is always 3.
         detail = "empirical at r=3 (stated for r>3)" if r == 3 else ""
+        checked, pair_ok = _tight_on_sample(instance, 2, samples, rng)
         report.add(
-            f"pairwise ceilings on {len(pairs)} pairs",
+            f"pairwise ceilings on {checked} pairs",
             3,
             3 if pair_ok else "mismatch",
             pair_ok,
             detail,
         )
-        triples = [
-            (i, j, l)
-            for i in range(1, k + 1)
-            for j in range(i + 1, k + 1)
-            for l in range(j + 1, k + 1)
-        ]
-        if len(triples) > samples:
-            triples = rng.sample(triples, samples)
-        triple_ok = True
-        for tri in triples:
-            sb = subset_bound(instance, tri)
-            if sb.computed != sb.predicted:
-                triple_ok = False
-                break
+        checked, triple_ok = _tight_on_sample(instance, 3, samples, rng)
         report.add(
-            f"triple ceilings on {len(triples)} subsets",
+            f"triple ceilings on {checked} subsets",
             "|I| if columns cancel else |I|+1",
             "all tight" if triple_ok else "mismatch",
             triple_ok,
             detail,
         )
-        bound_ok = True
-        checked = 0
-        sizes = [s for s in range(1, k) for _ in range(2)][:samples]
-        for size in sizes:
+        bound_ok, checked = True, 0
+        for size in [s for s in range(1, k) for _ in range(2)][:samples]:
             subset = tuple(sorted(rng.sample(range(1, k + 1), size)))
-            mu_f = _rewarded_max(instance, subset)
-            ceiling = (
-                len(subset)
-                + 2
-                - Fraction(len(subset) - 1, 2 ** (r - 1) - 1)
-            )
+            ceiling = size + 2 - Fraction(size - 1, 2 ** (r - 1) - 1)
             checked += 1
-            if mu_f > ceiling:
+            if _rewarded_max(instance, subset) > ceiling:
                 bound_ok = False
                 break
         report.add(
@@ -765,8 +750,8 @@ def verify_report(
         _, served, residual = waterfill(instance, demand)
         report.add(
             "waterfilling serves the single-object maximum",
-            _rat(star),
-            _rat(served[0]),
+            format_rational(star),
+            format_rational(served[0]),
             served[0] == star and all(x == 0 for x in residual),
         )
         gaps = []
@@ -778,7 +763,7 @@ def verify_report(
             got = sum(served, _ZERO)
             if got > best:
                 policy_optimal = False  # impossible if the LP is right
-            gaps.append(_rat(best - got))
+            gaps.append(format_rational(best - got))
         report.add(
             "waterfilling never exceeds the LP optimum",
             True,

@@ -99,6 +99,17 @@ def exhaustive_recovery_sets(code: LinearCode, symbol: int) -> list[tuple[int, .
     return found
 
 
+def orthogonal(a: FieldMatrix, b: FieldMatrix) -> bool:
+    """Is every row of ``a`` orthogonal to every row of ``b`` over GF(q)?"""
+    if a.q != b.q or a.cols != b.cols:
+        raise ValueError("matrices of different fields or widths")
+    return all(
+        sum(x * y for x, y in zip(ra, rb)) % a.q == 0
+        for ra in a.entries
+        for rb in b.entries
+    )
+
+
 def min_weight(matrix: FieldMatrix) -> int:
     """Minimum Hamming weight over all nonzero vectors in the row space."""
     q = matrix.q

@@ -54,9 +54,6 @@ def test_criterion_02_recovery_structure_laws():
             assert set(report.cardinality_histogram) <= {1, q ** (r - 1) - 1}
             assert set(report.nonsingleton_per_symbol) == {q ** (r - 1)}
             assert report.incidence_range == ((q - 1) * q ** (r - 2),) * 2
-            assert report.cardinality_law_ok
-            assert report.count_law_ok
-            assert report.incidence_law_ok
 
 
 def test_criterion_03_single_object_maximum(
@@ -221,7 +218,7 @@ def _polytope_probe(code, samples=200, seed=10):
             srr.Allocation(scaled_weights).validate(instance, shrunk)
             # Capacity scaling, witnessed by exact lifting.
             mu = F(rng.randrange(1, 7), rng.randrange(1, 4))
-            lifted = srr.SrrInstance(code, instance.system, mu)
+            lifted = srr.SrrInstance(instance.system, mu)
             lifted_demand = tuple(mu * x for x in demand)
             srr.Allocation(
                 {key: mu * w for key, w in witness.weights.items()}
@@ -229,7 +226,7 @@ def _polytope_probe(code, samples=200, seed=10):
         else:
             non_members += 1
             mu = F(rng.randrange(1, 7), rng.randrange(1, 4))
-            lifted = srr.SrrInstance(code, instance.system, mu)
+            lifted = srr.SrrInstance(instance.system, mu)
             scaled = tuple(mu * x for x in demand)
             still_member, _ = srr.membership(lifted, scaled)
             assert not still_member, f"scaling law broken at {demand} * {mu}"

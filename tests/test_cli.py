@@ -202,6 +202,37 @@ def test_verify_rejects_zero_samples(capsys):
     assert "samples must be at least 1" in err
 
 
+def _assert_one_error_line(rc, out, err):
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--systematic"]])
+def test_verify_binary_r2_exits_2(capsys, extra):
+    rc, out, err = run_cli(capsys, "verify", "-r", "2", "-q", "2", *extra)
+    _assert_one_error_line(rc, out, err)
+    assert "r >= 3" in err
+
+
+def test_verify_imported_binary_r2_code_exits_2(tmp_path, capsys):
+    src = tmp_path / "rep3.json"
+    src.write_text(json.dumps({"q": 2, "generator": [[1, 1, 1]]}))
+    rc, out, err = run_cli(capsys, "verify", "--code", str(src))
+    _assert_one_error_line(rc, out, err)
+    assert "r >= 3" in err
+
+
+# sha256 of `verify -r 2 -q 3` stdout, recorded before binary r = 2 codes were
+# rejected; the ternary r = 2 code must keep these bytes.
+def test_verify_ternary_r2_pinned_stdout(capsys):
+    rc, out, _ = run_cli(capsys, "verify", "-r", "2", "-q", "3")
+    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (
+        0,
+        "5e1073a47bcf46a599fa7691ec1aa8f95da7771a9088c77f1e167f180c3721dd",
+    )
+
+
 def test_slice_command(tmp_path, capsys):
     path = gen_file(tmp_path, "gen", "-r", "3", "-q", "2")
     rc, out, _ = run_cli(
@@ -349,6 +380,20 @@ def test_non_orthogonal_parity_check_exits_2(tmp_path, capsys):
     assert rc == 2
     assert out == ""
     assert "does not match" in err
+
+
+# H with an extra zero column keeps rank 3, and a row-by-row dot product
+# would silently truncate it to n columns: only the width check stops it.
+@pytest.mark.parametrize("reshape", [lambda row: row + [0], lambda row: row[:-1]])
+def test_parity_check_of_wrong_width_exits_2(tmp_path, capsys, reshape):
+    path = gen_file(tmp_path, "gen", "-r", "3", "-q", "2")
+    data = json.loads(open(path).read())
+    data["parity_check"] = [reshape(row) for row in data["parity_check"]]
+    bad = tmp_path / "reshaped.json"
+    bad.write_text(json.dumps(data))
+    rc, out, err = run_cli(capsys, "recovery", str(bad))
+    _assert_one_error_line(rc, out, err)
+    assert "does not match the generator" in err
 
 
 def test_bad_subcommand_exits_2(capsys):

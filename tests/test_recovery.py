@@ -112,9 +112,6 @@ def test_canonical_ordering_and_json(classic32):
 def test_structure_report_laws(r, q):
     code = codes.systematic_hamming(r, q)
     report = recovery.structure_report(recovery.build_recovery_system(code))
-    assert report.cardinality_law_ok
-    assert report.count_law_ok
-    assert report.incidence_law_ok
     assert set(report.cardinality_histogram) == {1, q ** (r - 1) - 1}
     assert set(report.nonsingleton_per_symbol) == {q ** (r - 1)}
     assert report.incidence_range == ((q - 1) * q ** (r - 2),) * 2

@@ -51,6 +51,37 @@ def test_membership_validates_input(classic32_instance):
         srr.membership(classic32_instance, [F(-1), 0, 0, 0])
 
 
+def test_floats_rejected_at_every_library_entry(classic32, classic32_instance):
+    # A float such as 0.1 is not the rational 1/10; it must never reach a result.
+    with pytest.raises(ValueError, match="exact rational"):
+        srr.max_served(classic32_instance, (0.1, 1, 1, 1))
+    with pytest.raises(ValueError, match="exact rational"):
+        srr.membership(classic32_instance, (0.1, 1, 1, 1))
+    with pytest.raises(ValueError, match="exact rational"):
+        srr.waterfill(classic32_instance, (0.1, 1, 1, 1))
+    with pytest.raises(ValueError, match="exact rational"):
+        srr.max_objective(classic32_instance, (0.1, 1, 1, 1))
+    with pytest.raises(ValueError, match="exact rational"):
+        srr.SrrInstance.for_code(classic32, 0.1)
+    with pytest.raises(ValueError, match="exact rational"):
+        srr.SrrInstance(classic32_instance.system, 0.1)
+
+
+def test_ints_and_fractions_pass_every_library_entry(classic32, classic32_instance):
+    mixed = (1, F(1, 2), 0, 2)
+    value, _ = srr.max_served(classic32_instance, mixed)
+    assert value == F(7, 2)
+    assert srr.membership(classic32_instance, mixed)[0]
+    _, served, residual = srr.waterfill(classic32_instance, mixed)
+    assert served == mixed and residual == (0, 0, 0, 0)
+    assert all(type(x) is F for x in served + residual)
+    assert srr.max_objective(classic32_instance, (1, F(1), 1, 1))[0] == 5
+    for capacity in (2, F(2)):
+        instance = srr.SrrInstance.for_code(classic32, capacity)
+        assert type(instance.capacity) is F and instance.capacity == 2
+        assert srr.SrrInstance(instance.system, capacity) == instance
+
+
 def test_max_served_validates_demand(classic32_instance):
     with pytest.raises(ValueError, match="length 5"):
         srr.max_served(classic32_instance, [F(1)] * 5)
@@ -102,7 +133,7 @@ def test_membership_matches_phase1_oracle(boundary_instances, data):
     capacity = data.draw(
         st.fractions(F(1, 3), 3, max_denominator=4).filter(lambda c: c != 1)
     )
-    instance = srr.SrrInstance(base.code, base.system, capacity)
+    instance = srr.SrrInstance(base.system, capacity)
     direction = data.draw(st.lists(st.integers(0, 4), min_size=k, max_size=k))
     if not any(direction):
         direction[0] = 1
