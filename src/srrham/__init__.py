@@ -15,6 +15,7 @@ from .hypergraph import (
     Edge,
     Hypergraph,
     HypergraphStats,
+    check_packing,
     compute_stats,
     fractional_matching_number,
     from_recovery_system,
@@ -33,7 +34,6 @@ from .srr import (
     Allocation,
     SrrInstance,
     SubsetBound,
-    VerificationReport,
     delta_simplex,
     lambda_star,
     lambda_star_vector,

@@ -17,6 +17,7 @@ ceiling has no option: ``lp`` reads it from ``SRRHAM_PIVOT_LIMIT``.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -26,17 +27,14 @@ from . import codes, hypergraph as hg, lp, recovery, srr
 from .fields import format_rational, parse_rational
 
 
-def _read_code(path: str) -> dict:
-    """The code document at ``path``: a JSON object with 'generator' and 'q'."""
+def _load_code(path: str) -> codes.LinearCode:
+    """The code document at ``path``: a JSON object with 'generator' and 'q',
+    and optionally a 'parity_check' that must match G, checked in full."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if "generator" not in data or "q" not in data:
         raise ValueError(f"{path}: expected a code file with 'generator' and 'q'")
-    return data
-
-
-def _load_code(path: str) -> codes.LinearCode:
-    return codes.code_from_json_dict(_read_code(path))
+    return codes.code_from_json_dict(data)
 
 
 def _symbol_token(token: str, k: int) -> int:
@@ -58,6 +56,11 @@ def _symbols_arg(text: str, k: int) -> list[int]:
     return [_symbol_token(t, k) for t in text.split(",")]
 
 
+def _rationals(text: str) -> list[Fraction]:
+    """Comma-separated exact rationals, as ``--demand`` and ``--weights`` take."""
+    return [parse_rational(t) for t in text.split(",")]
+
+
 def _load_instance(args) -> srr.SrrInstance:
     """The code file ``args.code`` as a region instance at ``args.capacity``."""
     return srr.SrrInstance.for_code(_load_code(args.code), parse_rational(args.capacity))
@@ -74,8 +77,7 @@ def _cmd_gen(args) -> dict:
 
 
 def _cmd_import(args) -> dict:
-    data = _read_code(args.file)
-    return codes.import_generator(data["generator"], int(data["q"])).to_json_dict()
+    return _load_code(args.file).to_json_dict()
 
 
 def _cmd_recovery(args) -> dict:
@@ -95,8 +97,7 @@ def _cmd_stats(args) -> dict:
 
 def _cmd_check(args) -> dict:
     instance = _load_instance(args)
-    demand = srr.parse_demand(args.demand, instance.code.k)
-    member, allocation = srr.membership(instance, demand)
+    member, allocation = srr.membership(instance, _rationals(args.demand))
     out = {"member": member}
     out["allocation"] = allocation.to_json_list() if member else None
     return out
@@ -104,8 +105,7 @@ def _cmd_check(args) -> dict:
 
 def _cmd_max(args) -> dict:
     instance = _load_instance(args)
-    weights = [parse_rational(t) for t in args.weights.split(",")]
-    value, demand, allocation = srr.max_objective(instance, weights)
+    value, demand, allocation = srr.max_objective(instance, _rationals(args.weights))
     return {
         "value": format_rational(value),
         "demand": [format_rational(x) for x in demand],
@@ -136,9 +136,8 @@ def _cmd_subset(args) -> dict:
 
 def _cmd_waterfill(args) -> dict:
     instance = _load_instance(args)
-    demand = srr.parse_demand(args.demand, instance.code.k)
     allocation, served, residual = srr.waterfill(
-        instance, demand, args.max_events
+        instance, _rationals(args.demand), args.max_events
     )
     return {
         "allocation": allocation.to_json_list(),
@@ -160,7 +159,7 @@ def _cmd_verify(args) -> dict:
         raise ValueError("verify needs either --code FILE or -r and -q")
     else:
         code = _hamming(args)
-    return srr.verify_report(code, args.seed, args.samples).to_json_dict()
+    return srr.verify_report(code, args.seed, args.samples)
 
 
 def _cmd_slice(args) -> str:
@@ -183,32 +182,22 @@ def _cmd_slice(args) -> str:
     step = parse_rational(args.step)
     if step <= 0 or maximum < 0:
         raise ValueError("--step must be positive and --max nonnegative")
-    points = (maximum // step + 1) ** len(axes)
+    count = maximum // step + 1
+    points = count ** len(axes)
     if points > srr.SLICE_POINT_LIMIT:
         raise srr.WorkLimitError(
             f"slice needs {points} membership LPs, over the limit of "
             f"{srr.SLICE_POINT_LIMIT}"
         )
-    ticks = []
-    v = Fraction(0)
-    while v <= maximum:
-        ticks.append(v)
-        v += step
+    ticks = [step * t for t in range(count)]
     lines = [",".join([f"lambda_{i}" for i in range(1, k + 1)] + ["member"])]
-
-    def fill(depth: int, demand: list[Fraction]) -> None:
-        if depth == len(axes):
-            member, _ = srr.membership(instance, tuple(demand))
-            row = [format_rational(x) for x in demand] + ["1" if member else "0"]
-            lines.append(",".join(row))
-            return
-        for t in ticks:
-            demand[axes[depth] - 1] = t
-            fill(depth + 1, demand)
-        demand[axes[depth] - 1] = Fraction(0)
-
-    base = [fixed.get(i, Fraction(0)) for i in range(1, k + 1)]
-    fill(0, base)
+    demand = [fixed.get(i, Fraction(0)) for i in range(1, k + 1)]
+    for point in itertools.product(ticks, repeat=len(axes)):
+        for axis, t in zip(axes, point):
+            demand[axis - 1] = t
+        member, _ = srr.membership(instance, tuple(demand))
+        row = [format_rational(x) for x in demand] + ["1" if member else "0"]
+        lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
 

@@ -1,36 +1,27 @@
 """Recovery hypergraphs: labeled hyperedges, exact matching/transversal
 numbers, and the fractional matching number.
 
-Vertices are the storage nodes 1..n; every recovery set of data symbol i
-becomes a hyperedge labeled i.  nu and tau are found by exact branch and
-bound (the claims we verify are equalities, so heuristics are useless); mu_f
-is the exact LP optimum.  Edges are processed in canonical (size, members,
-label) order everywhere, so values and witnesses are deterministic.
+Vertices are the storage nodes 1..n; every recovery set R of data symbol i
+becomes the hyperedge (i, R), the same (symbol, set) pair that keys an
+``srr.Allocation``.  nu and tau are found by exact branch and bound (the
+claims we verify are equalities, so heuristics are useless); mu_f is the
+exact LP optimum.  A hypergraph keeps its edges in canonical (size, members,
+symbol) order, so values and witnesses are deterministic.  One packing check,
+``check_packing``, certifies every primal witness: the matching behind nu,
+the fractional matching behind mu_f, and every region allocation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Container, Iterable, Mapping, Optional, Sequence
 
 from . import lp
 from .fields import format_rational
-from .recovery import RecoverySystem
+from .recovery import RecoverySet, RecoverySystem
 
-
-@dataclass(frozen=True)
-class Edge:
-    members: tuple[int, ...]
-    label: int
-
-    def __post_init__(self) -> None:
-        if not self.members:
-            raise ValueError("empty hyperedge")
-        if list(self.members) != sorted(set(self.members)):
-            raise ValueError(f"edge members {self.members} not strictly ascending")
-        if self.label < 1:
-            raise ValueError(f"bad label {self.label}")
+Edge = tuple[int, RecoverySet]
 
 
 def _mask(members: Iterable[int]) -> int:
@@ -47,30 +38,61 @@ class Hypergraph:
 
     def __post_init__(self) -> None:
         seen = set()
-        for e in self.edges:
-            if e.members[-1] > self.vertex_count:
-                raise ValueError(f"edge {e.members} exceeds vertex count")
-            key = (e.members, e.label)
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-
-    def canonical_edges(self) -> list[Edge]:
-        return sorted(self.edges, key=lambda e: (len(e.members), e.members, e.label))
+        for edge in self.edges:
+            i, members = edge
+            if (
+                i < 1
+                or not members
+                or list(members) != sorted(set(members))
+                or members[0] < 1
+                or members[-1] > self.vertex_count
+            ):
+                raise ValueError(f"bad edge {edge} on {self.vertex_count} vertices")
+            if edge in seen:
+                raise ValueError(f"duplicate edge {edge}")
+            seen.add(edge)
+        canonical = sorted(self.edges, key=lambda e: (len(e[1]), e[1], e[0]))
+        object.__setattr__(self, "edges", tuple(canonical))
 
 
 def from_recovery_system(system: RecoverySystem) -> Hypergraph:
-    edges = []
-    for i, sets in enumerate(system.per_symbol, start=1):
-        for members in sets:
-            edges.append(Edge(members, i))
-    return Hypergraph(system.code.n, tuple(edges))
+    return Hypergraph(system.code.n, tuple(system))
 
 
 def partial_hypergraph(h: Hypergraph, labels: Iterable[int]) -> Hypergraph:
     """Keep only the edges recovering the given data symbols."""
     keep = set(labels)
-    return Hypergraph(h.vertex_count, tuple(e for e in h.edges if e.label in keep))
+    return Hypergraph(h.vertex_count, tuple(e for e in h.edges if e[0] in keep))
+
+
+def check_packing(
+    weights: Mapping[Edge, Fraction],
+    pool: Container[Edge],
+    n: int,
+    capacity: Fraction = 1,
+    value: Optional[Fraction] = None,
+    symbol_weights: Optional[Sequence[Fraction]] = None,
+) -> None:
+    """Exact check of a primal packing witness; raises ValueError unless
+    every (symbol, set) key is in ``pool``, every weight is nonnegative, no
+    node 1..n carries more than ``capacity``, and (when ``value`` is given)
+    sum of symbol_weights_i * w over the keys (default all 1) equals it."""
+    loads = [0] * n
+    worth = 0
+    for (i, members), w in weights.items():
+        if w < 0:
+            raise ValueError(f"negative weight on ({i}, {members})")
+        if (i, members) not in pool:
+            raise ValueError(f"{members} is not a recovery set of symbol {i}")
+        for v in members:
+            loads[v - 1] += w
+        if value is not None:
+            worth += w if symbol_weights is None else symbol_weights[i - 1] * w
+    for v, load in enumerate(loads, start=1):
+        if load > capacity:
+            raise ValueError(f"node {v} overloaded: {load} > {capacity}")
+    if value is not None and worth != value:
+        raise ValueError(f"witness is worth {worth}, not the value {value}")
 
 
 def _greedy_cover(edge_masks: list[int], members: list[tuple[int, ...]]) -> list[int]:
@@ -96,9 +118,9 @@ def _greedy_cover(edge_masks: list[int], members: list[tuple[int, ...]]) -> list
 
 def matching_number(h: Hypergraph) -> tuple[int, tuple[Edge, ...]]:
     """Exact maximum number of pairwise-disjoint edges, with a witness."""
-    edges = h.canonical_edges()
-    masks = [_mask(e.members) for e in edges]
-    members = [e.members for e in edges]
+    edges = h.edges
+    members = [m for _, m in edges]
+    masks = [_mask(m) for m in members]
     n_edges = len(edges)
 
     best_idx: list[int] = []
@@ -134,11 +156,10 @@ def matching_number(h: Hypergraph) -> tuple[int, tuple[Edge, ...]]:
 
 def transversal_number(h: Hypergraph) -> tuple[int, tuple[int, ...]]:
     """Exact minimum vertex set meeting every edge, with a witness."""
-    edges = h.canonical_edges()
-    if not edges:
+    if not h.edges:
         return 0, ()
-    masks = [_mask(e.members) for e in edges]
-    members = [e.members for e in edges]
+    members = [m for _, m in h.edges]
+    masks = [_mask(m) for m in members]
 
     cover = _greedy_cover(masks, members)
     best = len(cover)
@@ -169,52 +190,23 @@ def transversal_number(h: Hypergraph) -> tuple[int, tuple[int, ...]]:
             dfs([i for i in uncovered if not masks[i] & vb], chosen)
             chosen.pop()
 
-    dfs(list(range(len(edges))), [])
+    dfs(list(range(len(members))), [])
     return best, tuple(best_cover)
 
 
 def fractional_matching_number(h: Hypergraph) -> tuple[Fraction, dict[Edge, Fraction]]:
     """Exact LP optimum of max sum of edge weights, per-vertex load <= 1."""
-    edges = h.canonical_edges()
     value, solution = lp.max_packing(
-        ([v - 1 for v in e.members] for e in edges),
+        ([v - 1 for v in m] for _, m in h.edges),
         [Fraction(1)] * h.vertex_count,
-        [Fraction(1)] * len(edges),
+        [Fraction(1)] * len(h.edges),
     )
-    return value, dict(zip(edges, solution))
-
-
-def validate_matching(h: Hypergraph, chosen: Iterable[Edge]) -> bool:
-    used = 0
-    pool = set(h.edges)
-    for e in chosen:
-        if e not in pool:
-            return False
-        m = _mask(e.members)
-        if m & used:
-            return False
-        used |= m
-    return True
+    return value, dict(zip(h.edges, solution))
 
 
 def validate_transversal(h: Hypergraph, vertices: Iterable[int]) -> bool:
     vb = _mask(vertices)
-    return all(_mask(e.members) & vb for e in h.edges)
-
-
-def validate_fractional(h: Hypergraph, weights: dict[Edge, Fraction]) -> bool:
-    pool = set(h.edges)
-    if any(e not in pool for e in weights):
-        return False
-    if any(w < 0 or w > 1 for w in weights.values()):
-        return False
-    for v in range(1, h.vertex_count + 1):
-        load = sum(
-            (w for e, w in weights.items() if v in e.members), Fraction(0)
-        )
-        if load > 1:
-            return False
-    return True
+    return all(_mask(m) & vb for _, m in h.edges)
 
 
 @dataclass(frozen=True)
@@ -232,13 +224,12 @@ class HypergraphStats:
             "tau": self.tau,
             "mu_f": format_rational(self.mu_f),
             "witness_matching": [
-                {"symbol": e.label, "set": list(e.members)}
-                for e in self.witness_matching
+                {"symbol": i, "set": list(m)} for i, m in self.witness_matching
             ],
             "witness_transversal": list(self.witness_transversal),
             "witness_fractional": [
-                {"symbol": e.label, "set": list(e.members), "weight": format_rational(w)}
-                for e, w in self.witness_fractional.items()
+                {"symbol": i, "set": list(m), "weight": format_rational(w)}
+                for (i, m), w in self.witness_fractional.items()
                 if w
             ],
         }
@@ -246,18 +237,23 @@ class HypergraphStats:
 
 def compute_stats(h: Hypergraph) -> HypergraphStats:
     """nu, tau, mu_f with witnesses; re-validates each witness and the
-    sandwich nu <= mu_f <= tau before returning."""
+    sandwich nu <= mu_f <= tau before returning.  The matching is checked as
+    a packing of weight 1 per edge worth nu, so a repeated or overlapping
+    edge fails it; the fractional matching as a packing worth mu_f."""
     nu, matching = matching_number(h)
     tau, transversal = transversal_number(h)
     mu_f, weights = fractional_matching_number(h)
-    if not validate_matching(h, matching) or len(matching) != nu:
-        raise lp.InvariantError("matching witness failed validation")
+    pool = set(h.edges)
+    for name, packing, value in (
+        ("matching", dict.fromkeys(matching, 1), nu),
+        ("fractional", weights, mu_f),
+    ):
+        try:
+            check_packing(packing, pool, h.vertex_count, value=value)
+        except ValueError as exc:
+            raise lp.InvariantError(f"{name} witness failed validation: {exc}") from exc
     if h.edges and (not validate_transversal(h, transversal) or len(transversal) != tau):
         raise lp.InvariantError("transversal witness failed validation")
-    if not validate_fractional(h, weights):
-        raise lp.InvariantError("fractional witness failed validation")
-    if sum(weights.values(), Fraction(0)) != mu_f:
-        raise lp.InvariantError("fractional witness does not sum to mu_f")
     if not nu <= mu_f <= tau:
         raise lp.InvariantError(f"sandwich violated: {nu} <= {mu_f} <= {tau}")
     return HypergraphStats(nu, tau, mu_f, matching, transversal, weights)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .codes import Codeword, LinearCode, dual_codewords
 from .fields import FieldMatrix, in_span, rref
@@ -31,6 +31,16 @@ class RecoverySystem:
 
     def total_sets(self) -> int:
         return sum(len(sets) for sets in self.per_symbol)
+
+    def __iter__(self) -> Iterator[tuple[int, RecoverySet]]:
+        """Every (symbol, set) pair, by symbol and then in canonical set order."""
+        for i, sets in enumerate(self.per_symbol, start=1):
+            for members in sets:
+                yield i, members
+
+    def __contains__(self, pair: tuple[int, RecoverySet]) -> bool:
+        i, members = pair
+        return 1 <= i <= len(self.per_symbol) and members in self.per_symbol[i - 1]
 
     def to_json_dict(self) -> dict:
         return {

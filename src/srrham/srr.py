@@ -22,23 +22,17 @@ raises ``lp.InvariantError``, since that is a bug and not bad input.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Iterable, Optional, Sequence
 
 from . import hypergraph as hg
 from . import lp
 from .codes import LinearCode, odd_weight_column_count, scaled_unit_columns
-from .fields import exact_rational, format_rational, parse_rational
-from .recovery import (
-    RecoverySet,
-    RecoverySystem,
-    build_recovery_system,
-    structure_report,
-)
+from .fields import exact_rational, format_rational
+from .recovery import RecoverySystem, build_recovery_system, structure_report
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -66,17 +60,6 @@ class WorkLimitError(RuntimeError):
     """Raised before an enumeration whose estimated work is over its limit."""
 
 
-def parse_demand(text: str, k: int) -> DemandVector:
-    """Parse "1,1,1/3,2" into k exact nonnegative rationals."""
-    parts = text.split(",")
-    if len(parts) != k:
-        raise ValueError(f"expected {k} comma-separated rates, got {len(parts)}")
-    rates = tuple(parse_rational(p) for p in parts)
-    if any(x < 0 for x in rates):
-        raise ValueError("demand rates must be nonnegative")
-    return rates
-
-
 @dataclass(frozen=True)
 class SrrInstance:
     """A code's minimum recovery system and the uniform node capacity."""
@@ -99,22 +82,17 @@ class SrrInstance:
 
     def variables(
         self, symbols: Optional[Collection[int]] = None
-    ) -> list[tuple[int, RecoverySet]]:
+    ) -> list[hg.Edge]:
         """Canonical (symbol, recovery set) order shared by all LPs here,
         keeping only the sets of ``symbols`` when it is given."""
-        out = []
-        for i, sets in enumerate(self.system.per_symbol, start=1):
-            if symbols is None or i in symbols:
-                for members in sets:
-                    out.append((i, members))
-        return out
+        return [e for e in self.system if symbols is None or e[0] in symbols]
 
 
 @dataclass
 class Allocation:
     """Weights lambda_{iR}: the share of demand i routed to recovery set R."""
 
-    weights: dict[tuple[int, RecoverySet], Fraction]
+    weights: dict[hg.Edge, Fraction]
 
     def served(self, k: int) -> DemandVector:
         totals = [_ZERO] * k
@@ -140,31 +118,19 @@ class Allocation:
     ) -> None:
         """Exact re-check of an allocation; raises on violation.
 
-        Besides the capacities: service must equal ``demand``, stay within
-        ``ceiling``, and be worth ``value`` under ``weights`` (default all 1).
+        ``hg.check_packing`` checks the sets, the capacities and the ``value``
+        under ``weights`` (default all 1); service must also equal ``demand``
+        and stay within ``ceiling``.
         """
         code = instance.code
-        for (i, members), w in self.weights.items():
-            if w < 0:
-                raise ValueError(f"negative weight on ({i}, {members})")
-            if not 1 <= i <= code.k:
-                raise ValueError(f"bad symbol {i}")
-            if members not in instance.system.per_symbol[i - 1]:
-                raise ValueError(f"{members} is not a recovery set of symbol {i}")
-        for v, load in enumerate(self.node_loads(code.n), start=1):
-            if load > instance.capacity:
-                raise ValueError(
-                    f"node {v} overloaded: {load} > {instance.capacity}"
-                )
+        hg.check_packing(
+            self.weights, instance.system, code.n, instance.capacity, value, weights
+        )
         got = self.served(code.k)
         if demand is not None and got != tuple(demand):
             raise ValueError(f"served {got} != demand {tuple(demand)}")
         if ceiling is not None and any(s > c for s, c in zip(got, ceiling)):
             raise ValueError(f"served {got} exceeds demand {tuple(ceiling)}")
-        if value is not None:
-            worth = sum((w * s for w, s in zip(weights or [_ONE] * code.k, got)), _ZERO)
-            if worth != value:
-                raise ValueError(f"witness is worth {worth}, not the value {value}")
 
     def to_json_list(self) -> list[dict]:
         items = sorted(self.weights.items(), key=lambda kv: (kv[0][0], kv[0][1]))
@@ -363,17 +329,17 @@ def waterfill(
     sets containing a saturated node take no further traffic.  Returns the
     allocation, the served part, and the unserved residual.
     """
+    demand = _demand(instance, demand)
     code = instance.code
     if code.systematic_positions is None:
         raise ValueError("waterfilling requires a systematic code")
-    demand = _demand(instance, demand)
     if max_events < 0:
         raise ValueError(f"max_events must be nonnegative, got {max_events}")
     mu = instance.capacity
     k, n = code.k, code.n
     loads = [_ZERO] * (n + 1)
     residual = list(demand)
-    weights: dict[tuple[int, RecoverySet], Fraction] = {}
+    weights: dict[hg.Edge, Fraction] = {}
 
     for i in range(1, k + 1):
         s = code.systematic_positions[i - 1]
@@ -489,63 +455,43 @@ def m3_brute(r: int) -> int:
     return count // 3
 
 
-@dataclass
-class CheckResult:
-    claim: str
-    predicted: object
-    computed: object
-    passed: bool
-    detail: str = ""
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "claim": self.claim,
-            "predicted": self.predicted,
-            "computed": self.computed,
-            "pass": self.passed,
-        }
-        if self.detail:
-            out["detail"] = self.detail
-        return out
-
-
-@dataclass
-class VerificationReport:
-    code_summary: dict
-    checks: list[CheckResult] = field(default_factory=list)
-    skipped: list[str] = field(default_factory=list)
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def add(self, claim, predicted, computed, passed, detail="") -> None:
-        self.checks.append(CheckResult(claim, predicted, computed, passed, detail))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "code": self.code_summary,
-            "checks": [c.to_json_dict() for c in self.checks],
-            "skipped": list(self.skipped),
-            "all_pass": self.all_pass,
-        }
-
-
 def _tight_on_sample(
     instance: SrrInstance, size: int, samples: int, rng: random.Random
 ) -> tuple[int, bool]:
     """Check the subset bound of at most ``samples`` random ``size``-subsets;
-    returns how many were checked and whether every one was tight."""
-    subsets = list(itertools.combinations(range(1, instance.code.k + 1), size))
-    if len(subsets) > samples:
-        subsets = rng.sample(subsets, samples)
-    return len(subsets), all(subset_bound(instance, s).tight for s in subsets)
+    returns how many were checked and whether every one was tight.  Subsets
+    are drawn by their rank in ``itertools.combinations`` order, so none of
+    the C(k, size) subsets is listed."""
+    k = instance.code.k
+    total = math.comb(k, size)
+    picks = rng.sample(range(total), samples) if total > samples else range(total)
+    tight = all(subset_bound(instance, _combination(k, size, x)).tight for x in picks)
+    return len(picks), tight
+
+
+def _combination(k: int, size: int, rank: int) -> tuple[int, ...]:
+    """The ``rank``-th ``size``-subset of 1..k in ``itertools.combinations``
+    order (0-based)."""
+    out = []
+    v = 1
+    while size:
+        # C(k - v, size - 1) of the remaining subsets take v next.
+        count = math.comb(k - v, size - 1)
+        if rank < count:
+            out.append(v)
+            size -= 1
+        else:
+            rank -= count
+        v += 1
+    return tuple(out)
 
 
 def verify_report(
     code: LinearCode, seed: int = 0, samples: int = 40
-) -> VerificationReport:
-    """Machine-check every structural and service-rate law on one code.
+) -> dict:
+    """Machine-check every structural and service-rate law on one code; the
+    result is the JSON report: the code summary, the checks, the skipped laws
+    and whether every check passed.
 
     Laws that do not apply (binary-only bounds on a ternary code, systematic
     structure on a non-systematic matrix) are recorded as skipped rather than
@@ -566,27 +512,36 @@ def verify_report(
     instance = SrrInstance.for_code(code)
     summary = code.to_json_dict()
     del summary["generator"], summary["parity_check"]
-    report = VerificationReport(summary)
+    checks: list[dict] = []
+    skipped: list[str] = []
+
+    def add(claim, predicted, computed, passed, detail="") -> None:
+        check = {
+            "claim": claim, "predicted": predicted, "computed": computed, "pass": passed
+        }
+        if detail:
+            check["detail"] = detail
+        checks.append(check)
 
     # Recovery structure.
     if systematic:
         sr = structure_report(instance.system)
         sizes = {1, q ** (r - 1) - 1}
-        report.add(
+        add(
             "recovery set cardinalities",
             sorted(sizes),
             sorted(sr.cardinality_histogram),
             set(sr.cardinality_histogram) <= sizes,
         )
         count = q ** (r - 1)
-        report.add(
+        add(
             "non-singleton sets per symbol",
             count,
             sorted(set(sr.nonsingleton_per_symbol)),
             all(c == count for c in sr.nonsingleton_per_symbol),
         )
         incidence = (q - 1) * q ** (r - 2)
-        report.add(
+        add(
             "per-node incidence in a symbol's sets",
             incidence,
             list(sr.incidence_range),
@@ -596,19 +551,19 @@ def verify_report(
             for t in range(1, r + 1):
                 expected = math.comb(r, t) * (2 ** (r - 1) - t)
                 got = sr.t_counts[t]
-                report.add(
+                add(
                     f"sets with {t} non-systematic nodes",
                     expected,
                     got,
                     got == expected,
                 )
     else:
-        report.skipped.append("recovery structure laws (systematic codes only)")
+        skipped.append("recovery structure laws (systematic codes only)")
 
     # Hypergraph numbers.
     graph = hg.from_recovery_system(instance.system)
     stats = hg.compute_stats(graph)
-    report.add(
+    add(
         "matching <= fractional matching <= transversal",
         True,
         [stats.nu, format_rational(stats.mu_f), stats.tau],
@@ -616,7 +571,7 @@ def verify_report(
     )
     unit_columns = scaled_unit_columns(code.generator)
     n_sys_cols = len(unit_columns)
-    report.add(
+    add(
         "matching number >= systematic column count",
         f">= {n_sys_cols}",
         stats.nu,
@@ -625,7 +580,7 @@ def verify_report(
     if q == 2:
         o_w = odd_weight_column_count(code)
         total = stats.mu_f
-        report.add(
+        add(
             "total service rate <= odd-weight column count",
             f"<= {o_w}",
             format_rational(total),
@@ -633,28 +588,28 @@ def verify_report(
         )
         if systematic:
             predicted_total = 5 if r == 3 else k
-            report.add(
+            add(
                 "maximal total service rate",
                 predicted_total,
                 format_rational(total),
                 total == predicted_total,
             )
         elif r == 3:
-            report.add(
+            add(
                 "maximal total service rate equals odd-weight count",
                 o_w,
                 format_rational(total),
                 total == o_w,
             )
     else:
-        report.skipped.append("odd-weight column bound (binary codes only)")
+        skipped.append("odd-weight column bound (binary codes only)")
 
     # Single-object maxima and the simplex sandwich.
     stars = lambda_star_vector(instance)
     delta = min(stars)
     if systematic:
         predicted_star = 1 + Fraction(q, q - 1)
-        report.add(
+        add(
             "single-object maximum per symbol",
             format_rational(predicted_star),
             sorted({format_rational(s) for s in stars}),
@@ -664,20 +619,20 @@ def verify_report(
         predictions = {
             i: Fraction(2 * q - 1, q - 1) for i in range(1, k + 1) if i in unit_columns
         }
-        report.add(
+        add(
             "single-object maxima (systematic-server symbols)",
             {i: format_rational(v) for i, v in predictions.items()},
             [format_rational(s) for s in stars],
             all(stars[i - 1] == v for i, v in predictions.items()),
         )
-    report.add(
+    add(
         "ceil(delta) <= minimum distance",
         f"<= {code.d}",
         format_rational(delta),
         math.ceil(delta) <= code.d,
     )
     if systematic:
-        report.add(
+        add(
             "floor(delta) >= 2",
             ">= 2",
             format_rational(delta),
@@ -693,7 +648,7 @@ def verify_report(
             except ValueError:
                 witness_ok = False
                 break
-        report.add(
+        add(
             "two disjoint recovery routes per symbol",
             True,
             witness_ok,
@@ -706,7 +661,7 @@ def verify_report(
         # predicted ceiling is always 3.
         detail = "empirical at r=3 (stated for r>3)" if r == 3 else ""
         checked, pair_ok = _tight_on_sample(instance, 2, samples, rng)
-        report.add(
+        add(
             f"pairwise ceilings on {checked} pairs",
             3,
             3 if pair_ok else "mismatch",
@@ -714,7 +669,7 @@ def verify_report(
             detail,
         )
         checked, triple_ok = _tight_on_sample(instance, 3, samples, rng)
-        report.add(
+        add(
             f"triple ceilings on {checked} subsets",
             "|I| if columns cancel else |I|+1",
             "all tight" if triple_ok else "mismatch",
@@ -729,7 +684,7 @@ def verify_report(
             if _rewarded_max(instance, subset) > ceiling:
                 bound_ok = False
                 break
-        report.add(
+        add(
             f"uniformized fractional ceiling on {checked} random subsets",
             "mu_f <= |I| + 2 - (|I|-1)/(2^(r-1)-1)",
             "holds" if bound_ok else "violated",
@@ -737,18 +692,18 @@ def verify_report(
         )
         m3c = m3_closed_form(r)
         m3b = m3_brute(r)
-        report.add("closed-in-3 triple count", m3b, m3c, m3b == m3c)
+        add("closed-in-3 triple count", m3b, m3c, m3b == m3c)
     elif q != 2:
-        report.skipped.append("subset and triple-count checks (binary codes only)")
+        skipped.append("subset and triple-count checks (binary codes only)")
     else:
-        report.skipped.append("subset ceilings (systematic codes only)")
+        skipped.append("subset ceilings (systematic codes only)")
 
     # Waterfilling.
     if systematic:
         star = stars[0]
         demand = tuple(star if i == 0 else _ZERO for i in range(k))
         _, served, residual = waterfill(instance, demand)
-        report.add(
+        add(
             "waterfilling serves the single-object maximum",
             format_rational(star),
             format_rational(served[0]),
@@ -764,7 +719,7 @@ def verify_report(
             if got > best:
                 policy_optimal = False  # impossible if the LP is right
             gaps.append(format_rational(best - got))
-        report.add(
+        add(
             "waterfilling never exceeds the LP optimum",
             True,
             policy_optimal,
@@ -772,6 +727,11 @@ def verify_report(
             f"policy-vs-LP gaps: {gaps}",
         )
     else:
-        report.skipped.append("waterfilling checks (systematic codes only)")
+        skipped.append("waterfilling checks (systematic codes only)")
 
-    return report
+    return {
+        "code": summary,
+        "checks": checks,
+        "skipped": skipped,
+        "all_pass": all(c["pass"] for c in checks),
+    }

@@ -96,6 +96,45 @@ def test_import_external_generator(tmp_path, capsys):
     assert data["n"] == 7 and data["k"] == 4
 
 
+# sha256 of `import` stdout for a NONSYS_G file without a parity check,
+# recorded before `import` read its input through the full code check.
+def test_import_without_parity_check_pinned_stdout(tmp_path, capsys):
+    src = tmp_path / "gen_only.json"
+    src.write_text(json.dumps({"q": 2, "generator": NONSYS_G}))
+    rc, out, _ = run_cli(capsys, "import", str(src))
+    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (
+        0,
+        "58f4c60be7e2f98c202e2bf35d75e96d3de01e69e192077fe7b9d008c7397875",
+    )
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_import_keeps_a_valid_parity_check(tmp_path, capsys, q):
+    path = gen_file(tmp_path, "gen", "-r", "3", "-q", str(q))
+    rc, out, _ = run_cli(capsys, "import", path)
+    assert (rc, out) == (0, open(path).read())
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda h: [row + [0] for row in h],
+        lambda h: [row[:-1] for row in h],
+        lambda h: [[v ^ 1 if j == 0 else v for j, v in enumerate(row)] for row in h],
+    ],
+    ids=["wide", "narrow", "contradicts-g"],
+)
+def test_import_rejects_a_parity_check_that_does_not_match(tmp_path, capsys, corrupt):
+    path = gen_file(tmp_path, "gen", "-r", "3", "-q", "2")
+    data = json.loads(open(path).read())
+    data["parity_check"] = corrupt(data["parity_check"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    rc, out, err = run_cli(capsys, "import", str(bad))
+    _assert_one_error_line(rc, out, err)
+    assert "does not match the generator" in err
+
+
 def test_recovery_command(tmp_path, capsys):
     path = gen_file(tmp_path, "gen", "-r", "3", "-q", "2")
     rc, out, _ = run_cli(capsys, "recovery", path)
@@ -357,11 +396,52 @@ def test_pinned_stdout(pinned_codes, capsys, command, name, rc, sha):
     assert (got_rc, hashlib.sha256(out.encode()).hexdigest()) == (rc, sha)
 
 
+# Exit code and sha256 of stdout, recorded before hypergraph edges became
+# (symbol, set) pairs, verify sampled subsets by rank and slice built its
+# grid with itertools.product.  Both verify runs sample pairs and triples.
+@pytest.mark.parametrize(
+    "argv,sha",
+    [
+        (["stats", "{h32}", "--symbols", "a,b"],
+         "50331e0aba1f270c8a55bff5e96373edfbc6916b7a809865416b4ae945ce8c3d"),
+        (["stats", "{nonsys}", "--symbols", "a,b"],
+         "b41fbb6987d0bbb2ae8332458af58c7197f4cfc820b76814b318abcb6ef41140"),
+        (["slice", "{h32}", "--axes", "a,b", "--fix", "c=1/2", "--max", "2", "--step", "1/2"],
+         "9305f996462fdabff06202ecbbaa24984c52a0f5148b807fd487d3c330930187"),
+        (["verify", "-r", "4", "-q", "2", "--systematic"],
+         "78b03640a46ca76807d34cd4887f84b4f840f009eae9a76171fe2007e89db43e"),
+        (["verify", "-r", "4", "-q", "2", "--systematic", "--samples", "5", "--seed", "3"],
+         "e1c3de6b5317eb2a3a2d899059574a5a576bfc7f79ff403d3920a15a7df983a1"),
+    ],
+    ids=["stats-ab-h32", "stats-ab-nonsys", "slice-h32", "verify-42s", "verify-42s-samples5"],
+)
+def test_pinned_argv_stdout(pinned_codes, capsys, argv, sha):
+    rc, out, _ = run_cli(capsys, *[a.format(**pinned_codes) for a in argv])
+    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (0, sha)
+
+
 def test_malformed_demand_exits_2(tmp_path, capsys):
     path = gen_file(tmp_path, "gen", "-r", "3", "-q", "2")
     rc, out, err = run_cli(capsys, "check", path, "--demand", "1,0.5,1,1")
     assert rc == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("command", ["check", "waterfill"])
+@pytest.mark.parametrize(
+    "demand,message",
+    [
+        ("1,2,1", "demand length 3 != k = 4"),
+        ("1,1,1,-2", "demand rates must be nonnegative"),
+        ("1,1,1,0.5", "expected an exact rational"),
+    ],
+    ids=["wrong-length", "negative", "decimal"],
+)
+def test_bad_demand_exits_2(tmp_path, capsys, command, demand, message):
+    path = gen_file(tmp_path, "gen", "-r", "3", "-q", "2")
+    rc, out, err = run_cli(capsys, command, path, "--demand", demand)
+    _assert_one_error_line(rc, out, err)
+    assert message in err
 
 
 def test_missing_file_exits_2(capsys):
@@ -520,8 +600,14 @@ def _overstated_packing(monkeypatch):
     monkeypatch.setattr(lp, "max_packing", overstated)
 
 
-def _failed_matching_witness(monkeypatch):
-    monkeypatch.setattr(hg, "validate_matching", lambda h, chosen: False)
+def _overstated_matching(monkeypatch):
+    matching = hg.matching_number
+
+    def overstated(h):
+        nu, witness = matching(h)
+        return nu + 1, witness
+
+    monkeypatch.setattr(hg, "matching_number", overstated)
 
 
 def _wrong_binomial(monkeypatch):
@@ -538,7 +624,7 @@ def _wrong_binomial(monkeypatch):
          "witness failed validation"),
         (_overstated_packing, ["check", "{path}", "--demand", "1,1,1,2"],
          "witness failed validation"),
-        (_failed_matching_witness, ["stats", "{path}"],
+        (_overstated_matching, ["stats", "{path}"],
          "matching witness failed validation"),
         (_wrong_binomial, ["m3", "-r", "4"], "non-integer triple count"),
     ],

@@ -8,17 +8,24 @@ from srrham import hypergraph as hg
 
 
 def test_edge_and_graph_validation():
-    with pytest.raises(ValueError):
-        hg.Edge((), 1)
-    with pytest.raises(ValueError):
-        hg.Edge((2, 1), 1)
-    with pytest.raises(ValueError):
-        hg.Edge((1, 2), 0)
-    e = hg.Edge((1, 2), 1)
+    for bad in ((1, ()), (1, (2, 1)), (1, (1, 1)), (0, (1, 2)), (1, (0, 2)), (1, (1, 4))):
+        with pytest.raises(ValueError):
+            hg.Hypergraph(3, (bad,))
+    e = (1, (1, 2))
     with pytest.raises(ValueError):
         hg.Hypergraph(1, (e,))
     with pytest.raises(ValueError):
         hg.Hypergraph(3, (e, e))
+
+
+def test_edges_are_sorted_once_into_canonical_order():
+    graph = hg.Hypergraph(4, ((2, (3, 4)), (1, (1, 2, 3)), (3, (2,)), (1, (3, 4))))
+    assert graph.edges == ((3, (2,)), (1, (3, 4)), (2, (3, 4)), (1, (1, 2, 3)))
+
+
+def test_edges_are_the_allocation_pairs(classic32_instance, classic32_graph):
+    assert set(classic32_graph.edges) == set(classic32_instance.variables())
+    assert all(e in classic32_instance.system for e in classic32_graph.edges)
 
 
 def test_from_recovery_system_edge_counts(classic32_graph, nonsys_graph):
@@ -46,16 +53,14 @@ def partial_edges(graph, labels):
 
 
 def test_matching_number_worked_values(classic32_graph, nonsys_graph):
-    nu, witness = hg.matching_number(classic32_graph)
-    assert nu == 5
-    assert hg.validate_matching(classic32_graph, witness)
-    nu, witness = hg.matching_number(nonsys_graph)
-    assert nu == 3
-    assert hg.validate_matching(nonsys_graph, witness)
+    for graph, expected in ((classic32_graph, 5), (nonsys_graph, 3)):
+        nu, witness = hg.matching_number(graph)
+        assert nu == expected
+        hg.check_packing(dict.fromkeys(witness, 1), set(graph.edges), 7, value=nu)
 
 
 def test_matching_single_edge():
-    graph = hg.Hypergraph(3, (hg.Edge((1, 2), 1),))
+    graph = hg.Hypergraph(3, ((1, (1, 2)),))
     assert hg.matching_number(graph)[0] == 1
 
 
@@ -75,7 +80,7 @@ def test_transversal_worked_values(classic32_graph, nonsys_graph, sys42_graph):
 def test_fractional_matching_worked_values(classic32_graph, nonsys_graph):
     value, weights = hg.fractional_matching_number(classic32_graph)
     assert value == 5
-    assert hg.validate_fractional(classic32_graph, weights)
+    hg.check_packing(weights, set(classic32_graph.edges), 7, value=value)
     part = hg.partial_hypergraph(nonsys_graph, [2])
     value, weights = hg.fractional_matching_number(part)
     assert value == Fraction(7, 3)
@@ -145,3 +150,25 @@ def test_stats_deterministic_and_json(nonsys_graph):
     data = first.to_json_dict()
     assert data["nu"] == 3 and data["tau"] == 3 and data["mu_f"] == "3"
     assert all(isinstance(v, int) for v in data["witness_transversal"])
+
+
+def test_check_packing_rejects_each_wrong_witness(classic32_graph):
+    stats = hg.compute_stats(classic32_graph)
+    pool, n = set(classic32_graph.edges), classic32_graph.vertex_count
+    matching = dict.fromkeys(stats.witness_matching, 1)
+    # A maximum matching meets every other edge.
+    extra = next(e for e in classic32_graph.edges if e not in matching)
+    fractional = dict(stats.witness_fractional)
+    heaviest = max(fractional, key=fractional.get)
+    cases = [
+        ({**matching, extra: 1}, stats.nu + 1, "overloaded"),
+        (matching, stats.nu + 1, f"not the value {stats.nu + 1}"),
+        ({(1, (5,)): 1}, None, r"\(5,\) is not a recovery set of symbol 1"),
+        ({**fractional, heaviest: Fraction(-1)}, None, "negative weight"),
+        ({**fractional, heaviest: fractional[heaviest] + 1}, None, "overloaded"),
+    ]
+    for weights, value, message in cases:
+        with pytest.raises(ValueError, match=message):
+            hg.check_packing(weights, pool, n, value=value)
+    hg.check_packing(matching, pool, n, value=stats.nu)
+    hg.check_packing(fractional, pool, n, value=stats.mu_f)
