@@ -22,6 +22,7 @@ raises ``lp.InvariantError``, since that is a bug and not bad input.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -99,13 +100,6 @@ class Allocation:
         for (i, _), w in self.weights.items():
             totals[i - 1] += w
         return tuple(totals)
-
-    def node_loads(self, n: int) -> tuple[Fraction, ...]:
-        loads = [_ZERO] * n
-        for (_, members), w in self.weights.items():
-            for v in members:
-                loads[v - 1] += w
-        return tuple(loads)
 
     def validate(
         self,
@@ -459,31 +453,11 @@ def _tight_on_sample(
     instance: SrrInstance, size: int, samples: int, rng: random.Random
 ) -> tuple[int, bool]:
     """Check the subset bound of at most ``samples`` random ``size``-subsets;
-    returns how many were checked and whether every one was tight.  Subsets
-    are drawn by their rank in ``itertools.combinations`` order, so none of
-    the C(k, size) subsets is listed."""
-    k = instance.code.k
-    total = math.comb(k, size)
-    picks = rng.sample(range(total), samples) if total > samples else range(total)
-    tight = all(subset_bound(instance, _combination(k, size, x)).tight for x in picks)
-    return len(picks), tight
-
-
-def _combination(k: int, size: int, rank: int) -> tuple[int, ...]:
-    """The ``rank``-th ``size``-subset of 1..k in ``itertools.combinations``
-    order (0-based)."""
-    out = []
-    v = 1
-    while size:
-        # C(k - v, size - 1) of the remaining subsets take v next.
-        count = math.comb(k - v, size - 1)
-        if rank < count:
-            out.append(v)
-            size -= 1
-        else:
-            rank -= count
-        v += 1
-    return tuple(out)
+    returns how many were checked and whether every one was tight."""
+    subsets = list(itertools.combinations(range(1, instance.code.k + 1), size))
+    if len(subsets) > samples:
+        subsets = rng.sample(subsets, samples)
+    return len(subsets), all(subset_bound(instance, s).tight for s in subsets)
 
 
 def verify_report(

@@ -110,6 +110,15 @@ def orthogonal(a: FieldMatrix, b: FieldMatrix) -> bool:
     )
 
 
+def node_loads(weights: dict, n: int) -> list[Fraction]:
+    """Total weight on each node 1..n of a (symbol, set) -> weight map."""
+    loads = [Fraction(0)] * n
+    for (_, members), w in weights.items():
+        for v in members:
+            loads[v - 1] += w
+    return loads
+
+
 def min_weight(matrix: FieldMatrix) -> int:
     """Minimum Hamming weight over all nonzero vectors in the row space."""
     q = matrix.q

@@ -16,6 +16,7 @@ from srrham import codes, recovery, srr
 from srrham import hypergraph as hg
 
 from conftest import CLASSIC_G_32, CLASSIC_H_32, CLASSIC_RECOVERY, NONSYS_RECOVERY
+from oracles import node_loads
 
 F = Fraction
 
@@ -76,7 +77,7 @@ def test_criterion_03_single_object_maximum(
                 allocation, served, residual = srr.waterfill(instance, demand)
                 assert served == demand
                 assert all(x == 0 for x in residual)
-                assert all(l == 1 for l in allocation.node_loads(n))
+                assert all(l == 1 for l in node_loads(allocation.weights, n))
 
 
 def test_criterion_04_cumulative_bounds(

@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -11,7 +10,7 @@ from srrham import codes, srr
 from srrham import hypergraph as hg
 from srrham.fields import FieldMatrix
 
-from oracles import equivalent_generator, phase1_membership
+from oracles import equivalent_generator, node_loads, phase1_membership
 
 F = Fraction
 
@@ -304,7 +303,7 @@ def test_waterfill_triple_unit_binary(r):
     share = F(1, 2 ** (r - 2))
     big = {m: w for (i, m), w in allocation.weights.items() if len(m) > 1}
     assert set(big.values()) == {share}
-    loads = allocation.node_loads(code.n)
+    loads = node_loads(allocation.weights, code.n)
     assert all(l == 1 for l in loads)
 
 
@@ -312,7 +311,7 @@ def test_waterfill_ternary_max(sys33_instance):
     demand = unit_demand(10, 1, F(5, 2))
     allocation, served, residual = srr.waterfill(sys33_instance, demand)
     assert served == demand and all(x == 0 for x in residual)
-    assert all(l == 1 for l in allocation.node_loads(13))
+    assert all(l == 1 for l in node_loads(allocation.weights, 13))
 
 
 def test_waterfill_all_ones_uses_singletons_only(classic32_instance):
@@ -320,7 +319,7 @@ def test_waterfill_all_ones_uses_singletons_only(classic32_instance):
     allocation, served, residual = srr.waterfill(classic32_instance, demand)
     assert served == demand
     assert all(len(m) == 1 for (_, m) in allocation.weights)
-    loads = allocation.node_loads(7)
+    loads = node_loads(allocation.weights, 7)
     parity_nodes = {1, 2, 4}  # counting-layout parity columns stay idle
     assert all(loads[v - 1] == 0 for v in parity_nodes)
 
@@ -471,20 +470,3 @@ def test_verify_report_ternary_skips_binary_laws(sys33):
     report = srr.verify_report(sys33)
     assert report["all_pass"] is True
     assert any("binary" in s for s in report["skipped"])
-
-
-@pytest.mark.parametrize("k,size", [(4, 2), (6, 3), (7, 1), (9, 4), (5, 5)])
-def test_combination_unranks_in_itertools_order(k, size):
-    expected = list(itertools.combinations(range(1, k + 1), size))
-    assert [srr._combination(k, size, x) for x in range(len(expected))] == expected
-
-
-def test_sampled_ranks_draw_the_listed_subsets():
-    # Sampling ranks draws what sampling the listed subsets drew, and leaves
-    # the generator in the same state for the checks after it.
-    for seed in range(5):
-        listed, ranked = random.Random(seed), random.Random(seed)
-        subsets = list(itertools.combinations(range(1, 12), 3))
-        picks = ranked.sample(range(len(subsets)), 12)
-        assert [srr._combination(11, 3, x) for x in picks] == listed.sample(subsets, 12)
-        assert listed.random() == ranked.random()
