@@ -8,10 +8,11 @@ output.  Rationals are serialized as exact "p/q" strings, never floats.
 Exit codes: 0 for a completed computation (including "not a member" answers,
 which are data), 2 for input or validation problems (a bad
 ``SRRHAM_PIVOT_LIMIT`` value among them), 3 when a resource ceiling (LP
-pivots, waterfilling events, the estimated work of an enumeration or of a
-``slice`` grid) aborts the run, and 4 when an internal invariant fails (a
-solver witness or exactness check: a bug, not bad input).  The LP pivot
-ceiling has no option: ``lp`` reads it from ``SRRHAM_PIVOT_LIMIT``.
+pivots, waterfilling events, the estimated work of an enumeration, of a
+``slice`` grid or of building a code) aborts the run, and 4 when an internal
+invariant fails (a solver witness or exactness check: a bug, not bad input).
+The LP pivot ceiling has no option: ``lp`` reads it from
+``SRRHAM_PIVOT_LIMIT``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import codes, hypergraph as hg, lp, recovery, srr
-from .fields import format_rational, parse_rational
+from .fields import format_rational, is_prime, parse_rational
 
 
 def _load_code(path: str) -> codes.LinearCode:
@@ -67,9 +68,19 @@ def _load_instance(args) -> srr.SrrInstance:
 
 
 def _hamming(args) -> codes.LinearCode:
-    """Ham(args.r, args.q) in the layout that ``args.systematic`` picks."""
+    """Ham(args.r, args.q) in the layout that ``args.systematic`` picks, after
+    checking its generator's size against ``srr.CODE_ENTRY_LIMIT``."""
+    r, q = args.r, args.q
+    if r >= 2 and is_prime(q):
+        n = codes.hamming_length(r, q)
+        entries = (n - r) * n
+        if entries > srr.CODE_ENTRY_LIMIT:
+            raise srr.WorkLimitError(
+                f"Ham({r},{q}) has {entries} generator entries, over the limit "
+                f"of {srr.CODE_ENTRY_LIMIT}"
+            )
     build = codes.systematic_hamming if args.systematic else codes.classic_hamming
-    return build(args.r, args.q)
+    return build(r, q)
 
 
 def _cmd_gen(args) -> dict:

@@ -132,7 +132,7 @@ def classic_hamming(r: int, q: int) -> LinearCode:
             row[parity[m]] = (-h.entries[m][data[i]]) % q
         gen_rows.append(tuple(row))
     generator = FieldMatrix(q, tuple(gen_rows))
-    return LinearCode(q, generator, h, tuple(j + 1 for j in data))
+    return LinearCode(q, generator, h, _systematic_positions(generator))
 
 
 @functools.lru_cache(maxsize=None)
@@ -145,7 +145,7 @@ def systematic_hamming(r: int, q: int) -> LinearCode:
     """
     classic = classic_hamming(r, q)
     g, h = classic.generator, classic.parity_check
-    data = [j - 1 for j in classic.systematic_positions]
+    data = [j for j in range(classic.n) if _column_weight(h.column(j)) >= 2]
     # The other columns of the classic H are the unit vectors; e_m goes to k + m.
     unit = sorted(set(range(classic.n)) - set(data), key=lambda j: h.column(j).index(1))
     cols = data + unit
@@ -163,6 +163,14 @@ def scaled_unit_columns(generator: FieldMatrix) -> dict[int, int]:
             symbol = nonzero[0] + 1
             out.setdefault(symbol, j + 1)
     return out
+
+
+def _systematic_positions(generator: FieldMatrix) -> Optional[tuple[int, ...]]:
+    """``LinearCode.systematic_positions`` of a code with this generator."""
+    unit_cols = scaled_unit_columns(generator)
+    # Its keys are data symbols, so k of them means every symbol has one.
+    k = generator.rows
+    return tuple(unit_cols[i] for i in range(1, k + 1)) if len(unit_cols) == k else None
 
 
 def import_generator(
@@ -213,12 +221,7 @@ def import_generator(
         raise ValueError(
             "parity check violates Hamming property: dependent column pair"
         )
-    # Its keys are data symbols, so k of them means every symbol has one.
-    unit_cols = scaled_unit_columns(generator)
-    positions = (
-        tuple(unit_cols[i] for i in range(1, k + 1)) if len(unit_cols) == k else None
-    )
-    return LinearCode(q, generator, parity_check, positions)
+    return LinearCode(q, generator, parity_check, _systematic_positions(generator))
 
 
 @functools.lru_cache(maxsize=None)

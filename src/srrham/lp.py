@@ -9,17 +9,23 @@ inputs into a diagnosable error instead of a hang.  The ceiling is read here
 and nowhere else: each tableau takes it from ``SRRHAM_PIVOT_LIMIT`` when that
 is set, and uses ``DEFAULT_PIVOT_LIMIT`` otherwise.
 
-Internally the tableau uses integer pivoting: the whole dictionary is kept
-as integer numerators over one shared denominator (the previous pivot
-element).  Each pivot then needs only integer multiply/subtract and an exact
-division, which is far cheaper than per-entry rational arithmetic; the
-division remainder is checked so any representation bug would surface
-immediately rather than corrupt results.  A row is scaled only by the lcm of
-its coefficient denominators (1 for every 0/1 packing row), and the whole
-right-hand side column carries one common denominator instead.  Every entry
-is a minor of the starting integer matrix, so the rational right-hand side
-never inflates the coefficient part, and neither scaling changes a sign or a
-ratio comparison: the pivot sequence and the vertex are the same either way.
+Internally the simplex is revised (Dantzig and Orchard-Hays, 1954) and
+fraction-free (Bareiss, 1968).  The scaled integer constraint matrix M, with
+its slack and artificial columns, never changes and is held as sparse
+columns.  A pivot rewrites only the basis inverse K = den * B^-1, the basic
+right-hand side and the price row y = c_B K, all integers over one shared
+denominator den (the previous pivot element): an integer multiply/subtract
+and an exact division per entry, whose remainder is checked so that any
+representation bug surfaces at once.  A reduced cost y . M_j - den * c_j is
+formed only when Bland's rule reaches column j, and only the entering column
+K M_j is built.  These are the very integers that pivoting the whole tableau
+K [M | b] would hold, so every sign and ratio comparison, hence the pivot
+sequence and the vertex, are the same as with a full tableau.  A row is
+scaled only by the lcm of its coefficient denominators (1 for every 0/1
+packing row), and the right-hand side carries one common denominator.  Every
+entry is a minor of the starting integer matrix, so a rational right-hand
+side never inflates the coefficient part, and neither scaling changes a sign
+or a ratio comparison.
 
 The solver is a pure function of its input; concurrent calls share nothing.
 """
@@ -121,13 +127,17 @@ def _integer_row(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[list[int], 
     return [int(v * mult) for v in coeffs], rhs * mult
 
 
-class _Tableau:
-    """Integer-pivoting simplex dictionary with Bland's rule.
+def _dot(row: list[int], column: list[tuple[int, int]]) -> int:
+    """row . column, for a column held as (row index, coefficient) pairs."""
+    return sum([row[r] * v for r, v in column])
 
-    True tableau entries are rows[i][j] / den with den > 0; the last column
-    is the right-hand side, whose entries are further over rhs_den.  The
-    auxiliary z-row rides along through the same pivot updates, so
-    reduced-cost signs can be read off the numerators.
+
+class _Tableau:
+    """Revised integer-pivoting simplex with Bland's rule.
+
+    ``columns`` holds M as (row, coefficient) pairs.  Row i of ``inverse`` is
+    [K_i | beta_i], where beta = K b is the basic right-hand side, further
+    over rhs_den.  A price row y = c_B K carries y . b as its last entry.
     """
 
     def __init__(self, problem: LpProblem):
@@ -148,7 +158,9 @@ class _Tableau:
         self.n = n
         self.total = total
         self.artificial_start = n + n_slack
-        self.rows: list[list[int]] = []
+        self.columns: list[list[tuple[int, int]]] = [[] for _ in range(total)]
+        # Entries in each row of the inverse and in a price row: m, then rhs.
+        self.width = len(normalized) + 1
         self.den = 1
         self.basis: list[int] = []
         self.pivots = 0
@@ -156,42 +168,59 @@ class _Tableau:
         art_at = n + n_slack
         scaled = [_integer_row(coeffs, rhs) for coeffs, _, rhs in normalized]
         self.rhs_den = math.lcm(*(rhs.denominator for _, rhs in scaled))
-        for (ints, rhs), (_, rel, _) in zip(scaled, normalized):
-            row = ints + [0] * (total - n) + [int(rhs * self.rhs_den)]
+        # The starting basis (one slack or artificial per row) is I, so K = I.
+        self.inverse = [
+            [0] * (self.width - 1) + [int(rhs * self.rhs_den)] for _, rhs in scaled
+        ]
+        for i, ((ints, _), (_, rel, _)) in enumerate(zip(scaled, normalized)):
+            self.inverse[i][i] = 1
+            for j, v in enumerate(ints):
+                if v:
+                    self.columns[j].append((i, v))
             if rel == LE:
-                row[slack_at] = 1
+                self.columns[slack_at].append((i, 1))
                 self.basis.append(slack_at)
                 slack_at += 1
             elif rel == GE:
-                row[slack_at] = -1
+                self.columns[slack_at].append((i, -1))
                 slack_at += 1
-                row[art_at] = 1
+                self.columns[art_at].append((i, 1))
                 self.basis.append(art_at)
                 art_at += 1
             else:
-                row[art_at] = 1
+                self.columns[art_at].append((i, 1))
                 self.basis.append(art_at)
                 art_at += 1
-            self.rows.append(row)
 
-    def _pivot(self, r: int, c: int, z: list[int]) -> None:
-        rows = self.rows
-        prow = rows[r]
-        p = prow[c]
+    @property
+    def rows(self) -> list[list[int]]:
+        """The full tableau K [M | b], formed on demand from the inverse."""
+        return [[_dot(k, col) for col in self.columns] + [k[-1]] for k in self.inverse]
+
+    def _column(self, j: int) -> list[int]:
+        """Tableau column j, K M_j."""
+        col = self.columns[j]
+        return [_dot(k, col) for k in self.inverse]
+
+    def _pivot(self, r: int, c: int, column: list[int], y: list[int], zc: int) -> None:
+        """Bring column c, whose tableau column is ``column`` and reduced cost
+        ``zc``, into the basis at row r; the price row y is updated in place."""
+        inverse = self.inverse
+        prow = inverse[r]
+        p = column[r]
         d = self.den
-        for row in rows:
-            if row is prow:
-                continue
-            self._update(row, prow, row[c], p, d)
-        self._update(z, prow, z[c], p, d)
+        for row, f in zip(inverse, column):
+            if row is not prow:
+                self._update(row, prow, f, p, d)
+        self._update(y, prow, zc, p, d)
         self.basis[r] = c
         self.den = p
         if p < 0:
             # Keep the shared denominator positive (true values unchanged).
             self.den = -p
-            for row in rows:
+            for row in inverse:
                 row[:] = [-v for v in row]
-            z[:] = [-v for v in z]
+            y[:] = [-v for v in y]
 
     @staticmethod
     def _update(row: list[int], prow: list[int], f: int, p: int, d: int) -> None:
@@ -218,23 +247,31 @@ class _Tableau:
                     new.append(q)
                 row[:] = new
 
-    def _run(self, z: list[int], banned_from: int) -> str:
-        rows = self.rows
+    def _run(self, y: list[int], cost: list[int], banned_from: int) -> str:
+        """Pivot by Bland's rule until no column below ``banned_from`` has a
+        negative reduced cost y . M_j - den * cost[j]."""
+        columns = self.columns
+        inverse = self.inverse
         basis = self.basis
         while True:
+            den = self.den
             enter = -1
             for j in range(banned_from):
-                if z[j] < 0:
+                # _dot inlined: pricing is the hottest loop after the update.
+                zj = -den * cost[j]
+                for r, v in columns[j]:
+                    zj += y[r] * v
+                if zj < 0:
                     enter = j
                     break
             if enter < 0:
                 return OPTIMAL
+            column = self._column(enter)
             leave = -1
             best_rhs = best_a = 0
-            for i, row in enumerate(rows):
-                a = row[enter]
+            for i, a in enumerate(column):
                 if a > 0:
-                    rhs = row[-1]
+                    rhs = inverse[i][-1]
                     if leave < 0:
                         leave, best_rhs, best_a = i, rhs, a
                         continue
@@ -250,65 +287,58 @@ class _Tableau:
                 raise PivotLimitError(
                     f"simplex exceeded the pivot ceiling of {self.pivot_limit} "
                     f"after {self.pivots} pivots on a tableau of "
-                    f"{len(rows)} rows x {self.total} columns; its largest "
+                    f"{len(inverse)} rows x {self.total} columns; its largest "
                     f"entry has {self.entry_bits()} bits"
                 )
             self.pivots += 1
-            self._pivot(leave, enter, z)
+            self._pivot(leave, enter, column, y, zj)
 
     def entry_bits(self) -> int:
         """Bit length of the largest integer numerator held in the rows."""
         return max((abs(v).bit_length() for row in self.rows for v in row), default=0)
 
+    def _prices(self, cost: list[int]) -> list[int]:
+        """The price row c_B K, with c_B beta last."""
+        y = [0] * self.width
+        for b, row in zip(self.basis, self.inverse):
+            cb = cost[b]
+            if cb:
+                y = [a + cb * v for a, v in zip(y, row)]
+        return y
+
     def phase1(self) -> bool:
         """Minimize the artificial sum; True iff a feasible basis was found."""
         if self.artificial_start == self.total:
             return True
-        z = [0] * (self.total + 1)
-        for i, row in enumerate(self.rows):
-            if self.basis[i] >= self.artificial_start:
-                for j, v in enumerate(row):
-                    if v:
-                        z[j] -= v
-        for j in range(self.artificial_start, self.total):
-            z[j] += self.den
-        status = self._run(z, self.total)
-        if status != OPTIMAL or z[-1] != 0:
+        cost = [0] * self.artificial_start + [-1] * (self.total - self.artificial_start)
+        y = self._prices(cost)
+        if self._run(y, cost, self.total) != OPTIMAL or y[-1] != 0:
             return False
         # Drive leftover artificials out of the (degenerate) basis.
-        for i in reversed(range(len(self.rows))):
+        for i in reversed(range(len(self.inverse))):
             if self.basis[i] >= self.artificial_start:
-                row = self.rows[i]
+                k = self.inverse[i]
                 col = next(
-                    (j for j in range(self.artificial_start) if row[j]), None
+                    (j for j in range(self.artificial_start) if _dot(k, self.columns[j])),
+                    None,
                 )
                 if col is None:
-                    del self.rows[i]
+                    del self.inverse[i]
                     del self.basis[i]
                 else:
-                    self._pivot(i, col, [0] * (self.total + 1))
+                    self._pivot(i, col, self._column(col), [0] * self.width, 0)
         return True
 
     def phase2(self, objective: Sequence[Fraction]) -> str:
         scale = math.lcm(*(v.denominator for v in objective)) if objective else 1
         cost = [int(v * scale) for v in objective] + [0] * (self.total - self.n)
-        z = [0] * (self.total + 1)
-        for i, row in enumerate(self.rows):
-            cb = cost[self.basis[i]]
-            if cb:
-                for j, v in enumerate(row):
-                    if v:
-                        z[j] += cb * v
-        for j in range(self.artificial_start):
-            if cost[j]:
-                z[j] -= cost[j] * self.den
-        return self._run(z, self.artificial_start)
+        return self._run(self._prices(cost), cost, self.artificial_start)
 
     def solution(self) -> tuple[Fraction, ...]:
         x = [_ZERO] * self.n
-        for i, b in enumerate(self.basis):
+        for b, row in zip(self.basis, self.inverse):
             if b < self.n:
-                x[b] = Fraction(self.rows[i][-1], self.den * self.rhs_den)
+                x[b] = Fraction(row[-1], self.den * self.rhs_den)
         return tuple(x)
 
 

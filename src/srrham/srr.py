@@ -49,6 +49,11 @@ M3_PAIR_LIMIT = 5 * 10 ** 7
 # machine), so a slice grid of this many points runs for 2 to 20 minutes.
 SLICE_POINT_LIMIT = 10 ** 5
 
+# Ham(11, 2) has k * n = 4.2 M generator entries: gen builds and writes it in
+# about 5 s with a 400 MB peak (on that machine), and each step in r costs
+# about 4x more, so this limit admits it and stops Ham(12, 2).
+CODE_ENTRY_LIMIT = 5 * 10 ** 6
+
 # Default ceiling on waterfilling events (pour steps) before EventLimitError.
 WATERFILL_EVENT_LIMIT = 10_000
 

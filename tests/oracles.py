@@ -4,20 +4,29 @@ The brute-force oracles enumerate their whole search space and share no code
 with the algorithm they check, so agreement is evidence that both are right.
 Their cost grows exponentially, so they are meant for short codes only.  The
 phase-1 membership LP shares only the simplex core with the package.
+``DenseTableau`` is the full-tableau integer simplex that the package's
+revised simplex replaced; the two must pivot identically.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import Sequence
 
 from srrham import lp
+from srrham.lp import (
+    EQ, GE, LE, OPTIMAL, UNBOUNDED, InvariantError, LpProblem, PivotLimitError,
+    _integer_row, _resolve_pivot_limit,
+)
 from srrham.codes import LinearCode
 from srrham.fields import FieldMatrix
 
 ORACLE_MAX_LENGTH = 15
+
+_ZERO = Fraction(0)
 
 
 def _gf2_spans(columns: list[int], target: int) -> bool:
@@ -251,3 +260,198 @@ def phase1_membership(instance, demand) -> tuple[bool, dict | None]:
         return False, None
     assert evaluate_constraints(problem, point)
     return True, {var: w for var, w in zip(variables, point) if w}
+
+
+class DenseTableau:
+    """Integer-pivoting simplex dictionary with Bland's rule.
+
+    The dense reference for ``lp._Tableau``: every pivot rewrites the whole
+    m x (n + m) tableau, where ``lp._Tableau`` pivots only the basis inverse.
+    Both must take the same pivots and reach the same state.
+
+    True tableau entries are rows[i][j] / den with den > 0; the last column
+    is the right-hand side, whose entries are further over rhs_den.  The
+    auxiliary z-row rides along through the same pivot updates, so
+    reduced-cost signs can be read off the numerators.
+    """
+
+    def __init__(self, problem: LpProblem):
+        self.pivot_limit = _resolve_pivot_limit()
+        n = problem.num_vars
+        normalized = []
+        for c in problem.constraints:
+            coeffs, rel, rhs = list(c.coeffs), c.relation, c.rhs
+            if rhs < 0:
+                coeffs = [-v for v in coeffs]
+                rhs = -rhs
+                rel = {LE: GE, GE: LE, EQ: EQ}[rel]
+            normalized.append((coeffs, rel, rhs))
+
+        n_slack = sum(1 for _, rel, _ in normalized if rel in (LE, GE))
+        n_art = sum(1 for _, rel, _ in normalized if rel in (EQ, GE))
+        total = n + n_slack + n_art
+        self.n = n
+        self.total = total
+        self.artificial_start = n + n_slack
+        self.rows: list[list[int]] = []
+        self.den = 1
+        self.basis: list[int] = []
+        self.pivots = 0
+        slack_at = n
+        art_at = n + n_slack
+        scaled = [_integer_row(coeffs, rhs) for coeffs, _, rhs in normalized]
+        self.rhs_den = math.lcm(*(rhs.denominator for _, rhs in scaled))
+        for (ints, rhs), (_, rel, _) in zip(scaled, normalized):
+            row = ints + [0] * (total - n) + [int(rhs * self.rhs_den)]
+            if rel == LE:
+                row[slack_at] = 1
+                self.basis.append(slack_at)
+                slack_at += 1
+            elif rel == GE:
+                row[slack_at] = -1
+                slack_at += 1
+                row[art_at] = 1
+                self.basis.append(art_at)
+                art_at += 1
+            else:
+                row[art_at] = 1
+                self.basis.append(art_at)
+                art_at += 1
+            self.rows.append(row)
+
+    def _pivot(self, r: int, c: int, z: list[int]) -> None:
+        rows = self.rows
+        prow = rows[r]
+        p = prow[c]
+        d = self.den
+        for row in rows:
+            if row is prow:
+                continue
+            self._update(row, prow, row[c], p, d)
+        self._update(z, prow, z[c], p, d)
+        self.basis[r] = c
+        self.den = p
+        if p < 0:
+            # Keep the shared denominator positive (true values unchanged).
+            self.den = -p
+            for row in rows:
+                row[:] = [-v for v in row]
+            z[:] = [-v for v in z]
+
+    @staticmethod
+    def _update(row: list[int], prow: list[int], f: int, p: int, d: int) -> None:
+        if f:
+            if d == 1:
+                row[:] = [a * p - f * b for a, b in zip(row, prow)]
+            else:
+                new = []
+                for a, b in zip(row, prow):
+                    q, rem = divmod(a * p - f * b, d)
+                    if rem:
+                        raise InvariantError("integer pivot lost exactness")
+                    new.append(q)
+                row[:] = new
+        elif p != d:
+            if d == 1:
+                row[:] = [a * p for a in row]
+            else:
+                new = []
+                for a in row:
+                    q, rem = divmod(a * p, d)
+                    if rem:
+                        raise InvariantError("integer pivot lost exactness")
+                    new.append(q)
+                row[:] = new
+
+    def _run(self, z: list[int], banned_from: int) -> str:
+        rows = self.rows
+        basis = self.basis
+        while True:
+            enter = -1
+            for j in range(banned_from):
+                if z[j] < 0:
+                    enter = j
+                    break
+            if enter < 0:
+                return OPTIMAL
+            leave = -1
+            best_rhs = best_a = 0
+            for i, row in enumerate(rows):
+                a = row[enter]
+                if a > 0:
+                    rhs = row[-1]
+                    if leave < 0:
+                        leave, best_rhs, best_a = i, rhs, a
+                        continue
+                    lhs = rhs * best_a
+                    rhs_cmp = best_rhs * a
+                    if lhs < rhs_cmp or (
+                        lhs == rhs_cmp and basis[i] < basis[leave]
+                    ):
+                        leave, best_rhs, best_a = i, rhs, a
+            if leave < 0:
+                return UNBOUNDED
+            if self.pivots >= self.pivot_limit:
+                raise PivotLimitError(
+                    f"simplex exceeded the pivot ceiling of {self.pivot_limit} "
+                    f"after {self.pivots} pivots on a tableau of "
+                    f"{len(rows)} rows x {self.total} columns; its largest "
+                    f"entry has {self.entry_bits()} bits"
+                )
+            self.pivots += 1
+            self._pivot(leave, enter, z)
+
+    def entry_bits(self) -> int:
+        """Bit length of the largest integer numerator held in the rows."""
+        return max((abs(v).bit_length() for row in self.rows for v in row), default=0)
+
+    def phase1(self) -> bool:
+        """Minimize the artificial sum; True iff a feasible basis was found."""
+        if self.artificial_start == self.total:
+            return True
+        z = [0] * (self.total + 1)
+        for i, row in enumerate(self.rows):
+            if self.basis[i] >= self.artificial_start:
+                for j, v in enumerate(row):
+                    if v:
+                        z[j] -= v
+        for j in range(self.artificial_start, self.total):
+            z[j] += self.den
+        status = self._run(z, self.total)
+        if status != OPTIMAL or z[-1] != 0:
+            return False
+        # Drive leftover artificials out of the (degenerate) basis.
+        for i in reversed(range(len(self.rows))):
+            if self.basis[i] >= self.artificial_start:
+                row = self.rows[i]
+                col = next(
+                    (j for j in range(self.artificial_start) if row[j]), None
+                )
+                if col is None:
+                    del self.rows[i]
+                    del self.basis[i]
+                else:
+                    self._pivot(i, col, [0] * (self.total + 1))
+        return True
+
+    def phase2(self, objective: Sequence[Fraction]) -> str:
+        scale = math.lcm(*(v.denominator for v in objective)) if objective else 1
+        cost = [int(v * scale) for v in objective] + [0] * (self.total - self.n)
+        z = [0] * (self.total + 1)
+        for i, row in enumerate(self.rows):
+            cb = cost[self.basis[i]]
+            if cb:
+                for j, v in enumerate(row):
+                    if v:
+                        z[j] += cb * v
+        for j in range(self.artificial_start):
+            if cost[j]:
+                z[j] -= cost[j] * self.den
+        return self._run(z, self.artificial_start)
+
+    def solution(self) -> tuple[Fraction, ...]:
+        x = [_ZERO] * self.n
+        for i, b in enumerate(self.basis):
+            if b < self.n:
+                x[b] = Fraction(self.rows[i][-1], self.den * self.rhs_den)
+        return tuple(x)

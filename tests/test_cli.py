@@ -108,9 +108,16 @@ def test_import_without_parity_check_pinned_stdout(tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("q", [2, 3])
-def test_import_keeps_a_valid_parity_check(tmp_path, capsys, q):
-    path = gen_file(tmp_path, "gen", "-r", "3", "-q", str(q))
+@pytest.mark.parametrize("layout", [[], ["--systematic"]], ids=["classic", "systematic"])
+@pytest.mark.parametrize(
+    "r,q",
+    [(2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (2, 3), (3, 3), (4, 3), (2, 5), (3, 5),
+     (2, 7)],
+)
+def test_import_reproduces_every_gen_output(tmp_path, capsys, r, q, layout):
+    # import keeps the file's valid parity check, and gen and every reader
+    # agree on the systematic positions (Ham(2,2) too).
+    path = gen_file(tmp_path, "gen", "-r", str(r), "-q", str(q), *layout)
     rc, out, _ = run_cli(capsys, "import", path)
     assert (rc, out) == (0, open(path).read())
 
@@ -550,6 +557,19 @@ def test_slice_over_work_limit_exits_3_before_building_ticks(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["gen", "verify"])
+def test_code_over_entry_limit_exits_3_before_building(capsys, command):
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, command, "-r", "40", "-q", "2")
+    assert time.perf_counter() - start < 0.5
+    assert (rc, out) == (3, "")
+    n = 2 ** 40 - 1
+    assert (
+        f"Ham(40,2) has {(n - 40) * n} generator entries, over the limit of "
+        f"{srr.CODE_ENTRY_LIMIT}" in err
+    )
+
+
 def test_event_ceiling_exits_3_with_counters(tmp_path, capsys):
     path = gen_file(tmp_path, "gen", "-r", "3", "-q", "2", "--systematic")
     rc, out, err = run_cli(
@@ -579,8 +599,8 @@ def test_bad_json_input_exits_2(tmp_path, capsys):
 def _corrupt_den_after_pivot(monkeypatch):
     pivot = lp._Tableau._pivot
 
-    def corrupting(self, r, c, z):
-        pivot(self, r, c, z)
+    def corrupting(self, *args):
+        pivot(self, *args)
         self.den *= 7  # true values change, so the next division is inexact
 
     monkeypatch.setattr(lp._Tableau, "_pivot", corrupting)

@@ -11,7 +11,7 @@ from srrham import hypergraph as hg
 from srrham import recovery, codes
 
 from conftest import NONSYS_G
-from oracles import bland_packing, evaluate_constraints
+from oracles import DenseTableau, bland_packing, evaluate_constraints
 
 
 # ---------------------------------------------------------------------------
@@ -312,3 +312,58 @@ def test_rational_rhs_leaves_the_coefficient_part_untouched():
     assert whole.rows == scaled.rows
     assert scaled.rhs_den == whole.rhs_den * big
     assert scaled.solution() == tuple(x / big for x in whole.solution())
+
+
+# ---------------------------------------------------------------------------
+# The revised simplex pivots only the basis inverse; it must take the same
+# pivots as the dense reference tableau and end in the same state.
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _general_lps(draw):
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 8))
+    coeff = st.one_of(
+        st.integers(-3, 3), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    )
+    # Shared and zero right-hand sides make ratio ties and degenerate pivots;
+    # negative ones are flipped into the other relation.
+    shared = draw(st.builds(Fraction, st.integers(-20, 20), st.integers(1, 5)))
+    value = st.one_of(
+        st.builds(Fraction, st.integers(-20, 20), st.integers(1, 5)),
+        st.just(shared),
+        st.just(Fraction(0)),
+    )
+    rows = [
+        (draw(st.lists(coeff, min_size=n, max_size=n)),
+         draw(st.sampled_from([lp.LE, lp.EQ, lp.GE])),
+         draw(value))
+        for _ in range(m)
+    ]
+    if draw(st.booleans()):
+        # A duplicated equality row is redundant: phase 1 deletes one copy.
+        coeffs, _, rhs = rows[draw(st.integers(0, m - 1))]
+        rows += [(coeffs, lp.EQ, rhs)] * 2
+    objective = draw(st.lists(coeff, min_size=n, max_size=n))
+    return lp.LpProblem.maximize(objective, rows)
+
+
+def _tableau_state(tab):
+    return tab.pivots, tab.basis, tab.den, tab.rhs_den, tab.rows, tab.solution()
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_general_lps())
+@example(  # x + y = 1 twice: the second copy's row is deleted in phase 1
+    lp.LpProblem.maximize([1, 2], [([1, 1], lp.EQ, 1)] * 2 + [([1, 0], lp.GE, 0)])
+)
+def test_revised_tableau_pivots_like_the_dense_reference(problem):
+    revised, dense = lp._Tableau(problem), DenseTableau(problem)
+    feasible = revised.phase1()
+    assert feasible == dense.phase1()
+    assert _tableau_state(revised) == _tableau_state(dense)
+    if feasible:
+        status = revised.phase2(problem.objective)
+        assert status == dense.phase2(problem.objective)
+        assert _tableau_state(revised) == _tableau_state(dense)
