@@ -15,6 +15,7 @@ from .hypergraph import (
     Edge,
     Hypergraph,
     HypergraphStats,
+    check_cover,
     check_packing,
     compute_stats,
     fractional_matching_number,
@@ -23,7 +24,7 @@ from .hypergraph import (
     partial_hypergraph,
     transversal_number,
 )
-from .lp import LpOutcome, LpProblem, PivotLimitError, check_feasible, solve
+from .lp import PivotLimitError
 from .recovery import (
     RecoverySystem,
     StructureReport,

@@ -8,11 +8,13 @@ claims we verify are equalities, so heuristics are useless); mu_f is the
 exact LP optimum.  A hypergraph keeps its edges in canonical (size, members,
 symbol) order, so values and witnesses are deterministic.  One packing check,
 ``check_packing``, certifies every primal witness: the matching behind nu,
-the fractional matching behind mu_f, and every region allocation.
+the fractional matching behind mu_f, and every region allocation.  Its dual,
+``check_cover``, certifies node prices: an upper bound on every packing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Container, Iterable, Mapping, Optional, Sequence
@@ -93,6 +95,38 @@ def check_packing(
             raise ValueError(f"node {v} overloaded: {load} > {capacity}")
     if value is not None and worth != value:
         raise ValueError(f"witness is worth {worth}, not the value {value}")
+
+
+def check_cover(
+    prices: Sequence[Fraction],
+    pairs: Iterable[Edge],
+    capacity: Fraction,
+    value: Fraction,
+    symbol_weights: Optional[Sequence[Fraction]] = None,
+) -> None:
+    """Exact check of a dual witness, node prices y_1..y_n; raises ValueError
+    unless every price is nonnegative, every listed (symbol i, set R) has
+    sum_{v in R} y_v >= symbol_weights_i (default 1), and capacity * sum_v y_v
+    equals ``value``.  By weak duality no packing of ``pairs`` under
+    ``capacity`` is then worth more than ``value``.  Prices are compared as
+    integers over the lcm of their denominators; a pair whose symbol weight
+    is at most 0 is covered by y >= 0 alone."""
+    scale = math.lcm(*(y.denominator for y in prices))
+    ints = [y.numerator * (scale // y.denominator) for y in prices]
+    for v, y in enumerate(ints, start=1):
+        if y < 0:
+            raise ValueError(f"negative price {prices[v - 1]} on node {v}")
+    need: dict[int, int] = {}
+    for i, members in pairs:
+        if i not in need:
+            w = 1 if symbol_weights is None else symbol_weights[i - 1]
+            need[i] = math.ceil(scale * w)
+        if need[i] > 0 and sum(ints[v - 1] for v in members) < need[i]:
+            raise ValueError(f"prices on {members} do not cover symbol {i}'s weight")
+    if capacity * sum(ints) != value * scale:
+        raise ValueError(
+            f"prices cost {capacity * Fraction(sum(ints), scale)}, not the value {value}"
+        )
 
 
 def _greedy_cover(edge_masks: list[int], members: list[tuple[int, ...]]) -> list[int]:

@@ -15,6 +15,13 @@ weight 0, adds nothing to the objective and only takes node capacity, so
 dropping it keeps the optimum.  ``max_objective`` keeps every set, because
 its whole optimal point is reported.
 
+A per-symbol maximum lambda_i* needs no LP at all when symbol i has a unit
+column s (a generator column equal to a scaled e_i): the paper's value
+mu (2q - 1)/(q - 1) comes with a primal allocation and dual node prices of
+that value, built in closed form and accepted by the solver-free checks
+``hg.check_packing`` and ``hg.check_cover``; equal values prove optimality.
+Symbols without a unit column keep the restricted LP.
+
 Every allocation produced here is validated once by direct arithmetic,
 independently of the solver that produced it; a witness that fails its check
 raises ``lp.InvariantError``, since that is a bug and not bad input.
@@ -224,16 +231,47 @@ def _rewarded_max(instance: SrrInstance, symbols: Collection[int]) -> Fraction:
     return value
 
 
+def _unit_column_star(instance: SrrInstance, i: int, s: int) -> Fraction:
+    """lambda_i* = mu (2q - 1)/(q - 1) for a symbol whose generator column s
+    is a scaled e_i, proven by a primal/dual pair of equal value.
+
+    Besides (s,), symbol i has q^(r-1) sets of size q^(r-1) - 1, and each
+    node other than s lies in (q-1) q^(r-2) of them.  The primal puts mu on
+    (s,) and mu/((q-1) q^(r-2)) on every other set; the prices are 1 at s and
+    1/(q^(r-1) - 1) elsewhere.  Failing either check is a bug.
+    """
+    code = instance.code
+    q, r, k, mu = code.q, code.r, code.k, instance.capacity
+    value = mu * Fraction(2 * q - 1, q - 1)
+    sets = instance.system.per_symbol[i - 1]
+    share = mu / ((q - 1) * q ** (r - 2))
+    primal = Allocation({(i, m): mu if m == (s,) else share for m in sets})
+    weights = [_ONE if j == i else _ZERO for j in range(1, k + 1)]
+    _certify(primal, instance, weights=weights, value=value)
+    other = Fraction(1, q ** (r - 1) - 1)
+    prices = [_ONE if v == s else other for v in range(1, code.n + 1)]
+    try:
+        hg.check_cover(prices, ((i, m) for m in sets), mu, value, weights)
+    except ValueError as exc:
+        raise lp.InvariantError(f"node prices failed validation: {exc}") from exc
+    return value
+
+
 def lambda_star(instance: SrrInstance, i: int) -> Fraction:
     """Largest servable rate for symbol i alone.
 
-    Solved over symbol i's recovery sets only; the value equals
-    ``max_objective`` with weight 1 on i and 0 elsewhere.
+    A symbol with a unit column gets the paper's closed form, certified by
+    ``_unit_column_star``; any other is solved over its own recovery sets
+    only.  Either way the value equals ``max_objective`` with weight 1 on i
+    and 0 elsewhere.
     """
     k = instance.code.k
     if not 1 <= i <= k:
         raise ValueError(f"symbol {i} out of range 1..{k}")
-    return _rewarded_max(instance, {i})
+    s = scaled_unit_columns(instance.code.generator).get(i)
+    if s is None:
+        return _rewarded_max(instance, {i})
+    return _unit_column_star(instance, i, s)
 
 
 def lambda_star_vector(instance: SrrInstance) -> DemandVector:

@@ -25,6 +25,14 @@ def gen_file(tmp_path, *argv):
     return str(path)
 
 
+def nonsys_file(tmp_path):
+    """A NONSYS_G code file: its symbols 1 and 2 have no unit column, so
+    their lambda* (and so delta) still run the LP."""
+    path = tmp_path / "nonsys.json"
+    path.write_text(json.dumps({"q": 2, "generator": NONSYS_G}))
+    return str(path)
+
+
 def test_gen_systematic_golden(capsys):
     rc, out, _ = run_cli(capsys, "gen", "-r", "3", "-q", "2", "--systematic")
     assert rc == 0
@@ -508,8 +516,8 @@ def test_pivot_ceiling_exits_3(tmp_path, capsys, monkeypatch):
     [
         ["check", "{path}", "--demand", "1,1,1,2"],
         ["max", "{path}", "--weights", "1,1,1,1"],
-        ["lambda-star", "{path}"],
-        ["delta", "{path}"],
+        ["lambda-star", "{nonsys}"],
+        ["delta", "{nonsys}"],
         ["subset", "{path}", "--symbols", "a,b"],
         ["slice", "{path}", "--axes", "a", "--max", "1", "--step", "1"],
         ["stats", "{path}"],
@@ -521,8 +529,11 @@ def test_every_lp_command_obeys_the_env_pivot_ceiling(
     tmp_path, capsys, monkeypatch, argv
 ):
     path = gen_file(tmp_path, "gen", "-r", "3", "-q", "2")
+    nonsys = nonsys_file(tmp_path)
     monkeypatch.setenv(lp.PIVOT_LIMIT_ENV, "0")
-    rc, out, err = run_cli(capsys, *[a.format(path=path) for a in argv])
+    rc, out, err = run_cli(
+        capsys, *[a.format(path=path, nonsys=nonsys) for a in argv]
+    )
     assert (rc, out) == (3, "")
     assert "pivot ceiling of 0" in err
 
@@ -630,6 +641,24 @@ def _overstated_matching(monkeypatch):
     monkeypatch.setattr(hg, "matching_number", overstated)
 
 
+def _overstated_cover(monkeypatch):
+    cover = hg.check_cover
+
+    def overstated(prices, pairs, capacity, value, symbol_weights=None):
+        return cover(prices, pairs, capacity, value + 1, symbol_weights)
+
+    monkeypatch.setattr(hg, "check_cover", overstated)
+
+
+def _shifted_unit_columns(monkeypatch):
+    units = srr.scaled_unit_columns
+
+    def shifted(generator):
+        return {i: s % generator.cols + 1 for i, s in units(generator).items()}
+
+    monkeypatch.setattr(srr, "scaled_unit_columns", shifted)
+
+
 def _wrong_binomial(monkeypatch):
     monkeypatch.setattr(srr, "math", types.SimpleNamespace(comb=lambda n, k: 0))
 
@@ -639,24 +668,31 @@ def _wrong_binomial(monkeypatch):
     [
         (_corrupt_den_after_pivot, ["max", "{path}", "--weights", "1,1,1,1"],
          "integer pivot lost exactness"),
-        (_unbounded_solve, ["lambda-star", "{path}"], "packing LP ended unbounded"),
-        (_overstated_packing, ["lambda-star", "{path}", "--symbol", "1"],
+        (_unbounded_solve, ["lambda-star", "{nonsys}"], "packing LP ended unbounded"),
+        (_overstated_packing, ["lambda-star", "{nonsys}", "--symbol", "2"],
          "witness failed validation"),
         (_overstated_packing, ["check", "{path}", "--demand", "1,1,1,2"],
          "witness failed validation"),
         (_overstated_matching, ["stats", "{path}"],
          "matching witness failed validation"),
         (_wrong_binomial, ["m3", "-r", "4"], "non-integer triple count"),
+        (_overstated_cover, ["lambda-star", "{path}", "--symbol", "1"],
+         "node prices failed validation: prices cost 3, not the value 4"),
+        (_shifted_unit_columns, ["delta", "{path}"],
+         "witness failed validation: witness is worth 5/2, not the value 3"),
     ],
     ids=["pivot-exactness", "non-optimal-lp", "lambda-witness", "member-witness",
-         "stats-witness", "m3-count"],
+         "stats-witness", "m3-count", "lambda-prices", "lambda-unit-column"],
 )
 def test_internal_invariant_failure_exits_4(
     tmp_path, capsys, monkeypatch, sabotage, argv, message
 ):
     path = gen_file(tmp_path, "gen", "-r", "3", "-q", "2")
+    nonsys = nonsys_file(tmp_path)
     sabotage(monkeypatch)
-    rc, out, err = run_cli(capsys, *[a.format(path=path) for a in argv])
+    rc, out, err = run_cli(
+        capsys, *[a.format(path=path, nonsys=nonsys) for a in argv]
+    )
     assert (rc, out) == (4, "")
     assert err.startswith("internal error: ") and message in err
     assert err.count("\n") == 1

@@ -172,3 +172,41 @@ def test_check_packing_rejects_each_wrong_witness(classic32_graph):
             hg.check_packing(weights, pool, n, value=value)
     hg.check_packing(matching, pool, n, value=stats.nu)
     hg.check_packing(fractional, pool, n, value=stats.mu_f)
+
+
+def test_check_cover_accepts_the_unit_column_prices(classic32_instance):
+    # Classic Ham(3,2): symbol 1 sits alone on node 3, lambda_1* = 3.
+    pairs = list(classic32_instance.system)
+    prices = [Fraction(1, 3)] * 7
+    prices[2] = Fraction(1)
+    weights = [1, 0, 0, 0]
+    hg.check_cover(prices, pairs, 1, 3, weights)
+    # Capacity scales the value; integer prices need no Fraction.
+    hg.check_cover(prices, pairs, Fraction(3, 2), Fraction(9, 2), weights)
+    hg.check_cover([1] * 7, pairs, 1, 7)
+
+
+def test_check_cover_rejects_each_corruption(classic32_instance):
+    pairs = list(classic32_instance.system)
+    prices = [Fraction(1, 3)] * 7
+    prices[2] = Fraction(1)
+    weights = [Fraction(1), 0, 0, 0]
+    lowered = list(prices)
+    lowered[0] = Fraction(1, 3) - Fraction(1, 1000)
+    negative = list(prices)
+    negative[2] = Fraction(-1)
+    raised = list(weights)
+    raised[0] = 1 + Fraction(1, 1000)
+    cases = [
+        (lowered, 3 - Fraction(1, 1000), weights, r"\(1, 4, 6\) do not cover symbol 1"),
+        (negative, 1, weights, "negative price -1 on node 3"),
+        (prices, 3 + Fraction(1, 3), weights, "cost 3, not the value 10/3"),
+        (prices, 3 - Fraction(1, 3), weights, "cost 3, not the value 8/3"),
+        (prices, 3, raised, "do not cover symbol 1"),
+        # Symbol 2's weight raised from 0: its singleton (5,) costs 1/3.
+        (prices, 3, [1, 1, 0, 0], r"\(5,\) do not cover symbol 2"),
+        (prices, 3, None, "do not cover symbol 2"),
+    ]
+    for bad_prices, value, symbol_weights, message in cases:
+        with pytest.raises(ValueError, match=message):
+            hg.check_cover(bad_prices, pairs, 1, value, symbol_weights)

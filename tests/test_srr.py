@@ -189,6 +189,49 @@ def test_lambda_star_values(
         srr.lambda_star(classic32_instance, 5)
 
 
+def _route_code(r, q, layout):
+    """(code, capacity): systematic at 1, classic at 3/2, or a seeded
+    scramble of the systematic generator at 1."""
+    if layout == "systematic":
+        return codes.systematic_hamming(r, q), 1
+    if layout == "classic":
+        return codes.classic_hamming(r, q), F(3, 2)
+    generator = equivalent_generator(
+        codes.systematic_hamming(r, q).generator, random.Random(100 * r + q)
+    )
+    return codes.import_generator(generator.to_lists(), q), 1
+
+
+@pytest.mark.parametrize("layout", ["systematic", "classic", "scrambled"])
+@pytest.mark.parametrize(
+    "r,q", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (3, 5)]
+)
+def test_lambda_star_closed_form_matches_the_lp(monkeypatch, r, q, layout):
+    """Unit-column symbols take the certified closed form and never reach the
+    LP, whose value they must still equal; every other symbol runs the LP."""
+    code, capacity = _route_code(r, q, layout)
+    instance = srr.SrrInstance.for_code(code, capacity)
+    units = codes.scaled_unit_columns(code.generator)
+    rewarded_max = srr._rewarded_max
+    reached = {}
+
+    def recorded(inst, symbols):
+        (i,) = symbols
+        reached[i] = rewarded_max(inst, symbols)
+        return reached[i]
+
+    monkeypatch.setattr(srr, "_rewarded_max", recorded)
+    for i in range(1, code.k + 1):
+        star = srr.lambda_star(instance, i)
+        if i in units:
+            assert i not in reached
+            assert star == rewarded_max(instance, {i})
+            assert star == capacity * F(2 * q - 1, q - 1)
+        else:
+            assert star == reached[i]
+    assert set(reached) == set(range(1, code.k + 1)) - set(units)
+
+
 def _drawn_code(kind, seed, nonsys):
     """NONSYS_G, a scrambled Ham(3,2) or Ham(3,3), or a column-permuted
     (so still systematic) Ham(3,2)."""
