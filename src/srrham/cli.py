@@ -7,12 +7,12 @@ output.  Rationals are serialized as exact "p/q" strings, never floats.
 
 Exit codes: 0 for a completed computation (including "not a member" answers,
 which are data), 2 for input or validation problems (a bad
-``SRRHAM_PIVOT_LIMIT`` value among them), 3 when a resource ceiling (LP
-pivots, waterfilling events, the estimated work of an enumeration, of a
-``slice`` grid or of building a code) aborts the run, and 4 when an internal
-invariant fails (a solver witness or exactness check: a bug, not bad input).
-The LP pivot ceiling has no option: ``lp`` reads it from
-``SRRHAM_PIVOT_LIMIT``.
+``SRRHAM_PIVOT_LIMIT`` value or an ``--out`` that cannot be written among
+them), 3 when a resource ceiling (LP pivots, waterfilling events, the
+estimated work of an enumeration, of a ``slice`` grid or of building a code)
+aborts the run, and 4 when an internal invariant fails (a solver witness or
+exactness check: a bug, not bad input).  The LP pivot ceiling has no
+option: ``lp`` reads it from ``SRRHAM_PIVOT_LIMIT``.
 """
 
 from __future__ import annotations
@@ -72,13 +72,7 @@ def _hamming(args) -> codes.LinearCode:
     checking its generator's size against ``srr.CODE_ENTRY_LIMIT``."""
     r, q = args.r, args.q
     if r >= 2 and is_prime(q):
-        n = codes.hamming_length(r, q)
-        entries = (n - r) * n
-        if entries > srr.CODE_ENTRY_LIMIT:
-            raise srr.WorkLimitError(
-                f"Ham({r},{q}) has {entries} generator entries, over the limit "
-                f"of {srr.CODE_ENTRY_LIMIT}"
-            )
+        srr.check_code_entries(r, q)
     build = codes.systematic_hamming if args.systematic else codes.classic_hamming
     return build(r, q)
 
@@ -158,6 +152,7 @@ def _cmd_waterfill(args) -> dict:
 
 
 def _cmd_m3(args) -> dict:
+    srr.check_m3_budget(args.r)
     closed = srr.m3_closed_form(args.r)
     brute = srr.m3_brute(args.r)
     return {"r": args.r, "closed_form": closed, "brute": brute, "match": closed == brute}
@@ -197,8 +192,7 @@ def _cmd_slice(args) -> str:
     points = count ** len(axes)
     if points > srr.SLICE_POINT_LIMIT:
         raise srr.WorkLimitError(
-            f"slice needs {points} membership LPs, over the limit of "
-            f"{srr.SLICE_POINT_LIMIT}"
+            "slice needs", "membership LPs", srr.SLICE_POINT_LIMIT, points
         )
     ticks = [step * t for t in range(count)]
     lines = [",".join([f"lambda_{i}" for i in range(1, k + 1)] + ["member"])]
@@ -324,6 +318,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         payload = args.func(args)
+        if not isinstance(payload, str):
+            payload = json.dumps(payload, indent=2) + "\n"
+        if getattr(args, "out", None):
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        else:
+            sys.stdout.write(payload)
     except (lp.PivotLimitError, srr.EventLimitError, srr.WorkLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -336,13 +337,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, ArithmeticError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

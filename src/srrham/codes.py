@@ -14,7 +14,7 @@ All coordinates in reported sets and JSON are 1-based.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .fields import FieldMatrix, is_prime, kernel_basis, rank
@@ -40,18 +40,25 @@ class Codeword:
 class LinearCode:
     """A q-ary Hamming code: both describing matrices, which fix n, k and r.
 
-    ``systematic_positions`` lists, for each data symbol i, the 1-based
-    generator column equal to a nonzero multiple of e_i; it is None when no
-    full set of k such columns exists.  ``d`` is the closed form 3, which the
-    Hamming property checked on import fixes.
+    ``unit_columns`` holds, for each data symbol i, the first 1-based
+    generator column equal to a nonzero multiple of e_i, or None; it is found
+    once, when the code is built.  ``systematic_positions`` is that tuple when
+    no symbol lacks one.  ``d`` is 3, which the Hamming check on import fixes.
     """
 
     q: int
     generator: FieldMatrix
     parity_check: FieldMatrix
-    systematic_positions: Optional[tuple[int, ...]]
+    unit_columns: tuple[Optional[int], ...] = field(init=False, compare=False)
 
     d = 3
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "unit_columns", scaled_unit_columns(self.generator))
+
+    @property
+    def systematic_positions(self) -> Optional[tuple[int, ...]]:
+        return None if None in self.unit_columns else self.unit_columns
 
     @property
     def n(self) -> int:
@@ -131,8 +138,7 @@ def classic_hamming(r: int, q: int) -> LinearCode:
         for m in range(r):
             row[parity[m]] = (-h.entries[m][data[i]]) % q
         gen_rows.append(tuple(row))
-    generator = FieldMatrix(q, tuple(gen_rows))
-    return LinearCode(q, generator, h, _systematic_positions(generator))
+    return LinearCode(q, FieldMatrix(q, tuple(gen_rows)), h)
 
 
 @functools.lru_cache(maxsize=None)
@@ -149,28 +155,17 @@ def systematic_hamming(r: int, q: int) -> LinearCode:
     # The other columns of the classic H are the unit vectors; e_m goes to k + m.
     unit = sorted(set(range(classic.n)) - set(data), key=lambda j: h.column(j).index(1))
     cols = data + unit
-    positions = tuple(range(1, classic.k + 1))
-    return LinearCode(q, g.select_columns(cols), h.select_columns(cols), positions)
+    return LinearCode(q, g.select_columns(cols), h.select_columns(cols))
 
 
-def scaled_unit_columns(generator: FieldMatrix) -> dict[int, int]:
-    """Map data symbol -> 1-based generator column equal to a scaled e_i."""
-    out: dict[int, int] = {}
-    for j in range(generator.cols):
-        col = generator.column(j)
-        nonzero = [i for i, v in enumerate(col) if v != 0]
-        if len(nonzero) == 1:
-            symbol = nonzero[0] + 1
-            out.setdefault(symbol, j + 1)
-    return out
-
-
-def _systematic_positions(generator: FieldMatrix) -> Optional[tuple[int, ...]]:
-    """``LinearCode.systematic_positions`` of a code with this generator."""
-    unit_cols = scaled_unit_columns(generator)
-    # Its keys are data symbols, so k of them means every symbol has one.
-    k = generator.rows
-    return tuple(unit_cols[i] for i in range(1, k + 1)) if len(unit_cols) == k else None
+def scaled_unit_columns(generator: FieldMatrix) -> tuple[Optional[int], ...]:
+    """``LinearCode.unit_columns`` of a code with this generator."""
+    out: list[Optional[int]] = [None] * generator.rows
+    for j, column in enumerate(zip(*generator.entries), start=1):
+        nonzero = [i for i, v in enumerate(column) if v != 0]
+        if len(nonzero) == 1 and out[nonzero[0]] is None:
+            out[nonzero[0]] = j
+    return tuple(out)
 
 
 def import_generator(
@@ -221,7 +216,7 @@ def import_generator(
         raise ValueError(
             "parity check violates Hamming property: dependent column pair"
         )
-    return LinearCode(q, generator, parity_check, _systematic_positions(generator))
+    return LinearCode(q, generator, parity_check)
 
 
 @functools.lru_cache(maxsize=None)

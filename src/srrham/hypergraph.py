@@ -9,12 +9,13 @@ exact LP optimum.  A hypergraph keeps its edges in canonical (size, members,
 symbol) order, so values and witnesses are deterministic.  One packing check,
 ``check_packing``, certifies every primal witness: the matching behind nu,
 the fractional matching behind mu_f, and every region allocation.  Its dual,
-``check_cover``, certifies node prices: an upper bound on every packing.
+``check_cover``, certifies node prices, the transversal behind tau among them.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Container, Iterable, Mapping, Optional, Sequence
@@ -67,6 +68,15 @@ def partial_hypergraph(h: Hypergraph, labels: Iterable[int]) -> Hypergraph:
     return Hypergraph(h.vertex_count, tuple(e for e in h.edges if e[0] in keep))
 
 
+def _over_lcm(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """Exact rationals as integers over the lcm of their denominators: that
+    lcm, and each value times it.  Raises ValueError on a float."""
+    if not all(isinstance(x, numbers.Rational) for x in values):
+        raise ValueError("expected exact rationals (ints or Fractions)")
+    scale = math.lcm(*(x.denominator for x in values))
+    return scale, [x.numerator * (scale // x.denominator) for x in values]
+
+
 def check_packing(
     weights: Mapping[Edge, Fraction],
     pool: Container[Edge],
@@ -79,9 +89,10 @@ def check_packing(
     every (symbol, set) key is in ``pool``, every weight is nonnegative, no
     node 1..n carries more than ``capacity``, and (when ``value`` is given)
     sum of symbol_weights_i * w over the keys (default all 1) equals it."""
+    scale, (room, *ints) = _over_lcm([capacity, *weights.values()])
     loads = [0] * n
     worth = 0
-    for (i, members), w in weights.items():
+    for (i, members), w in zip(weights, ints):
         if w < 0:
             raise ValueError(f"negative weight on ({i}, {members})")
         if (i, members) not in pool:
@@ -91,9 +102,10 @@ def check_packing(
         if value is not None:
             worth += w if symbol_weights is None else symbol_weights[i - 1] * w
     for v, load in enumerate(loads, start=1):
-        if load > capacity:
-            raise ValueError(f"node {v} overloaded: {load} > {capacity}")
-    if value is not None and worth != value:
+        if load > room:
+            raise ValueError(f"node {v} overloaded: {Fraction(load, scale)} > {capacity}")
+    if value is not None and worth != value * scale:
+        worth = Fraction(worth, scale)
         raise ValueError(f"witness is worth {worth}, not the value {value}")
 
 
@@ -111,8 +123,7 @@ def check_cover(
     ``capacity`` is then worth more than ``value``.  Prices are compared as
     integers over the lcm of their denominators; a pair whose symbol weight
     is at most 0 is covered by y >= 0 alone."""
-    scale = math.lcm(*(y.denominator for y in prices))
-    ints = [y.numerator * (scale // y.denominator) for y in prices]
+    scale, ints = _over_lcm(prices)
     for v, y in enumerate(ints, start=1):
         if y < 0:
             raise ValueError(f"negative price {prices[v - 1]} on node {v}")
@@ -238,11 +249,6 @@ def fractional_matching_number(h: Hypergraph) -> tuple[Fraction, dict[Edge, Frac
     return value, dict(zip(h.edges, solution))
 
 
-def validate_transversal(h: Hypergraph, vertices: Iterable[int]) -> bool:
-    vb = _mask(vertices)
-    return all(_mask(m) & vb for _, m in h.edges)
-
-
 @dataclass(frozen=True)
 class HypergraphStats:
     nu: int
@@ -271,23 +277,23 @@ class HypergraphStats:
 
 def compute_stats(h: Hypergraph) -> HypergraphStats:
     """nu, tau, mu_f with witnesses; re-validates each witness and the
-    sandwich nu <= mu_f <= tau before returning.  The matching is checked as
-    a packing of weight 1 per edge worth nu, so a repeated or overlapping
-    edge fails it; the fractional matching as a packing worth mu_f."""
+    sandwich nu <= mu_f <= tau before returning: the matching as a packing of
+    weight 1 per edge worth nu, the fractional matching as a packing worth
+    mu_f, and the transversal as node prices, 1 per chosen node, worth tau."""
     nu, matching = matching_number(h)
     tau, transversal = transversal_number(h)
     mu_f, weights = fractional_matching_number(h)
-    pool = set(h.edges)
-    for name, packing, value in (
-        ("matching", dict.fromkeys(matching, 1), nu),
-        ("fractional", weights, mu_f),
+    pool, n = set(h.edges), h.vertex_count
+    prices = [transversal.count(v) for v in range(1, n + 1)]
+    for name, check, args in (
+        ("matching", check_packing, (dict.fromkeys(matching, 1), pool, n, 1, nu)),
+        ("fractional", check_packing, (weights, pool, n, 1, mu_f)),
+        ("transversal", check_cover, (prices, h.edges, 1, tau)),
     ):
         try:
-            check_packing(packing, pool, h.vertex_count, value=value)
+            check(*args)
         except ValueError as exc:
             raise lp.InvariantError(f"{name} witness failed validation: {exc}") from exc
-    if h.edges and (not validate_transversal(h, transversal) or len(transversal) != tau):
-        raise lp.InvariantError("transversal witness failed validation")
     if not nu <= mu_f <= tau:
         raise lp.InvariantError(f"sandwich violated: {nu} <= {mu_f} <= {tau}")
     return HypergraphStats(nu, tau, mu_f, matching, transversal, weights)

@@ -38,7 +38,7 @@ from typing import Collection, Iterable, Optional, Sequence
 
 from . import hypergraph as hg
 from . import lp
-from .codes import LinearCode, odd_weight_column_count, scaled_unit_columns
+from .codes import LinearCode, hamming_length, odd_weight_column_count
 from .fields import exact_rational, format_rational
 from .recovery import RecoverySystem, build_recovery_system, structure_report
 
@@ -61,6 +61,9 @@ SLICE_POINT_LIMIT = 10 ** 5
 # about 4x more, so this limit admits it and stops Ham(12, 2).
 CODE_ENTRY_LIMIT = 5 * 10 ** 6
 
+# 2^996 < 10^300: a work estimate below 2^996 is printed in full.
+_SHOWN_BITS = 996
+
 # Default ceiling on waterfilling events (pour steps) before EventLimitError.
 WATERFILL_EVENT_LIMIT = 10_000
 
@@ -70,7 +73,27 @@ class EventLimitError(RuntimeError):
 
 
 class WorkLimitError(RuntimeError):
-    """Raised before an enumeration whose estimated work is over its limit."""
+    """Raised before an enumeration whose estimated work is over its limit.
+
+    The message reads "<subject> <estimate> <unit>, over the limit of
+    <limit>".  An estimate of more than 300 digits is shown by its size, as
+    the power of two "at least 2^b" at or below it, and a caller that settles
+    the budget from a huge parameter alone passes that b as ``log2`` instead
+    of an estimate; so no message ever needs a huge decimal conversion.
+    """
+
+    def __init__(
+        self,
+        subject: str,
+        unit: str,
+        limit: int,
+        estimate: Optional[int] = None,
+        log2: Optional[int] = None,
+    ) -> None:
+        self.estimate, self.limit = estimate, limit
+        bits = log2 if estimate is None else estimate.bit_length() - 1
+        shown = str(estimate) if bits < _SHOWN_BITS else f"at least 2^{bits}"
+        super().__init__(f"{subject} {shown} {unit}, over the limit of {limit}")
 
 
 @dataclass(frozen=True)
@@ -268,7 +291,7 @@ def lambda_star(instance: SrrInstance, i: int) -> Fraction:
     k = instance.code.k
     if not 1 <= i <= k:
         raise ValueError(f"symbol {i} out of range 1..{k}")
-    s = scaled_unit_columns(instance.code.generator).get(i)
+    s = instance.code.unit_columns[i - 1]
     if s is None:
         return _rewarded_max(instance, {i})
     return _unit_column_star(instance, i, s)
@@ -466,21 +489,40 @@ def m3_closed_form(r: int) -> int:
     return numerator // 3
 
 
+def check_code_entries(r: int, q: int) -> None:
+    """Raise WorkLimitError if Ham(r, q)'s generator has more than
+    CODE_ENTRY_LIMIT entries.  There are at least n >= 2^(r-1) of them,
+    which settles a huge r before q^r is formed."""
+    subject = f"Ham({r},{q}) has"
+    if r - 1 > _SHOWN_BITS:
+        raise WorkLimitError(subject, "generator entries", CODE_ENTRY_LIMIT, log2=r - 1)
+    n = hamming_length(r, q)
+    if (n - r) * n > CODE_ENTRY_LIMIT:
+        raise WorkLimitError(subject, "generator entries", CODE_ENTRY_LIMIT, (n - r) * n)
+
+
+def check_m3_budget(r: int) -> None:
+    """Raise ValueError for r < 3, and WorkLimitError if ``m3_brute`` would
+    check more than M3_PAIR_LIMIT pairs.  There are at least 2^(r-1) of them,
+    which settles a huge r before 2^r is formed."""
+    if r < 3:
+        raise ValueError(f"r must be >= 3, got {r}")
+    subject = f"m3 at r={r} needs"
+    if r - 1 > _SHOWN_BITS:
+        raise WorkLimitError(subject, "pair checks", M3_PAIR_LIMIT, log2=r - 1)
+    heavy_count = 2 ** r - 1 - r
+    pairs = heavy_count * (heavy_count - 1) // 2
+    if pairs > M3_PAIR_LIMIT:
+        raise WorkLimitError(subject, "pair checks", M3_PAIR_LIMIT, pairs)
+
+
 def m3_brute(r: int) -> int:
     """Independent oracle for m3_closed_form: enumerate vector pairs.
 
     Counts unordered pairs of distinct weight->=2 vectors in GF(2)^r whose sum
     also has weight >= 2; each qualifying triple is seen three times.
     """
-    if r < 3:
-        raise ValueError(f"r must be >= 3, got {r}")
-    heavy_count = 2 ** r - 1 - r
-    pairs = heavy_count * (heavy_count - 1) // 2
-    if pairs > M3_PAIR_LIMIT:
-        raise WorkLimitError(
-            f"m3 at r={r} needs {pairs} pair checks, over the limit of "
-            f"{M3_PAIR_LIMIT}"
-        )
+    check_m3_budget(r)
     heavy = [v for v in range(1, 2 ** r) if v.bit_count() >= 2]
     count = 0
     for a_idx in range(len(heavy)):
@@ -586,8 +628,7 @@ def verify_report(
         [stats.nu, format_rational(stats.mu_f), stats.tau],
         stats.nu <= stats.mu_f <= stats.tau,
     )
-    unit_columns = scaled_unit_columns(code.generator)
-    n_sys_cols = len(unit_columns)
+    n_sys_cols = k - code.unit_columns.count(None)
     add(
         "matching number >= systematic column count",
         f">= {n_sys_cols}",
@@ -633,9 +674,8 @@ def verify_report(
             all(s == predicted_star for s in stars),
         )
     else:
-        predictions = {
-            i: Fraction(2 * q - 1, q - 1) for i in range(1, k + 1) if i in unit_columns
-        }
+        closed = Fraction(2 * q - 1, q - 1)
+        predictions = {i: closed for i, s in enumerate(code.unit_columns, 1) if s}
         add(
             "single-object maxima (systematic-server symbols)",
             {i: format_rational(v) for i, v in predictions.items()},

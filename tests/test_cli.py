@@ -6,7 +6,7 @@ import types
 
 import pytest
 
-from srrham import cli, lp, srr
+from srrham import cli, codes, lp, srr
 from srrham import hypergraph as hg
 
 from conftest import NONSYS_G
@@ -581,6 +581,56 @@ def test_code_over_entry_limit_exits_3_before_building(capsys, command):
     )
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["gen", "-r", "8000", "-q", "2"], "Ham(8000,2) has at least 2^7999 generator"),
+        (["gen", "-r", "30000000", "-q", "2"], "has at least 2^29999999 generator"),
+        (["verify", "-r", "8000", "-q", "2"], "Ham(8000,2) has at least 2^7999"),
+        (["m3", "-r", "20000"], "m3 at r=20000 needs at least 2^19999 pair checks"),
+        (["m3", "-r", "10000000"], "m3 at r=10000000 needs at least 2^9999999 pair"),
+        (["slice", "{path}", "--axes", "a", "--max", "1", "--step", "1/1" + "0" * 2200],
+         f"slice needs at least 2^{(10 ** 2200 + 1).bit_length() - 1} membership LPs"),
+    ],
+    ids=["gen", "gen-huge-r", "verify", "m3", "m3-huge-r", "slice"],
+)
+def test_work_limit_exits_3_however_large_the_estimate(tmp_path, capsys, argv, message):
+    """The estimate of a huge run is shown by its size, so its message never
+    needs a decimal conversion past Python's digit limit."""
+    path = gen_file(tmp_path, "gen", "-r", "3", "-q", "2")
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, *[a.format(path=path) for a in argv])
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (3, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("target", ["missing/code.json", "."])
+def test_unwritable_out_exits_2(tmp_path, capsys, target):
+    rc, out, err = run_cli(
+        capsys, "gen", "-r", "3", "-q", "2", "--out", str(tmp_path / target)
+    )
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_delta_finds_unit_columns_once_per_code(tmp_path, capsys, monkeypatch):
+    path = gen_file(tmp_path, "gen", "-r", "4", "-q", "2")
+    scans = []
+    scan = codes.scaled_unit_columns
+
+    def counted(generator):
+        scans.append(generator)
+        return scan(generator)
+
+    # A copy of the scan imported into srr would be counted too.
+    for module in (codes, srr):
+        monkeypatch.setattr(module, "scaled_unit_columns", counted, raising=False)
+    rc, out, _ = run_cli(capsys, "delta", path)
+    assert (rc, json.loads(out)) == (0, {"delta": "3"})
+    assert len(scans) == 1
+
+
 def test_event_ceiling_exits_3_with_counters(tmp_path, capsys):
     path = gen_file(tmp_path, "gen", "-r", "3", "-q", "2", "--systematic")
     rc, out, err = run_cli(
@@ -650,13 +700,25 @@ def _overstated_cover(monkeypatch):
     monkeypatch.setattr(hg, "check_cover", overstated)
 
 
+def _dropped_transversal_vertex(monkeypatch):
+    transversal = hg.transversal_number
+
+    def dropped(h):
+        tau, witness = transversal(h)
+        return tau, witness[1:]
+
+    monkeypatch.setattr(hg, "transversal_number", dropped)
+
+
 def _shifted_unit_columns(monkeypatch):
-    units = srr.scaled_unit_columns
+    """Each unit column moves one node on where the code is built, so the
+    code's recovery sets stay right while its unit columns go wrong."""
+    units = codes.scaled_unit_columns
 
     def shifted(generator):
-        return {i: s % generator.cols + 1 for i, s in units(generator).items()}
+        return tuple(s and s % generator.cols + 1 for s in units(generator))
 
-    monkeypatch.setattr(srr, "scaled_unit_columns", shifted)
+    monkeypatch.setattr(codes, "scaled_unit_columns", shifted)
 
 
 def _wrong_binomial(monkeypatch):
@@ -675,6 +737,8 @@ def _wrong_binomial(monkeypatch):
          "witness failed validation"),
         (_overstated_matching, ["stats", "{path}"],
          "matching witness failed validation"),
+        (_dropped_transversal_vertex, ["stats", "{path}"],
+         "transversal witness failed validation"),
         (_wrong_binomial, ["m3", "-r", "4"], "non-integer triple count"),
         (_overstated_cover, ["lambda-star", "{path}", "--symbol", "1"],
          "node prices failed validation: prices cost 3, not the value 4"),
@@ -682,7 +746,8 @@ def _wrong_binomial(monkeypatch):
          "witness failed validation: witness is worth 5/2, not the value 3"),
     ],
     ids=["pivot-exactness", "non-optimal-lp", "lambda-witness", "member-witness",
-         "stats-witness", "m3-count", "lambda-prices", "lambda-unit-column"],
+         "stats-witness", "stats-transversal", "m3-count", "lambda-prices",
+         "lambda-unit-column"],
 )
 def test_internal_invariant_failure_exits_4(
     tmp_path, capsys, monkeypatch, sabotage, argv, message

@@ -93,7 +93,7 @@ def test_import_nonsystematic_worked_generator():
     c = codes.import_generator(NONSYS_G, 2)
     assert c.systematic_positions is None
     # Symbols c and d do have systematic servers at columns 7 and 4.
-    assert codes.scaled_unit_columns(c.generator) == {3: 7, 4: 4}
+    assert c.unit_columns == (None, None, 7, 4)
     assert c.d == 3
     assert min_weight(c.parity_check) == 4
 

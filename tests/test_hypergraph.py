@@ -2,9 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srrham import codes, recovery
 from srrham import hypergraph as hg
+
+from oracles import node_loads
 
 
 def test_edge_and_graph_validation():
@@ -65,16 +69,22 @@ def test_matching_single_edge():
 
 
 def test_transversal_worked_values(classic32_graph, nonsys_graph, sys42_graph):
+    def check_transversal(graph, vertices, tau):
+        prices = [vertices.count(v) for v in range(1, graph.vertex_count + 1)]
+        hg.check_cover(prices, graph.edges, 1, tau)
+
     tau, witness = hg.transversal_number(nonsys_graph)
     assert tau == 3
-    assert hg.validate_transversal(nonsys_graph, witness)
-    assert hg.validate_transversal(nonsys_graph, (3, 4, 7))
+    check_transversal(nonsys_graph, witness, tau)
+    check_transversal(nonsys_graph, (3, 4, 7), tau)
     tau, witness = hg.transversal_number(classic32_graph)
     assert tau == 5
-    assert hg.validate_transversal(classic32_graph, witness)
+    check_transversal(classic32_graph, witness, tau)
+    with pytest.raises(ValueError, match="do not cover"):
+        check_transversal(classic32_graph, witness[1:], tau - 1)
     tau, witness = hg.transversal_number(sys42_graph)
     assert tau == 11
-    assert hg.validate_transversal(sys42_graph, witness)
+    check_transversal(sys42_graph, witness, tau)
 
 
 def test_fractional_matching_worked_values(classic32_graph, nonsys_graph):
@@ -172,6 +182,51 @@ def test_check_packing_rejects_each_wrong_witness(classic32_graph):
             hg.check_packing(weights, pool, n, value=value)
     hg.check_packing(matching, pool, n, value=stats.nu)
     hg.check_packing(fractional, pool, n, value=stats.mu_f)
+
+
+_NODES = 5
+_SETS = st.lists(st.integers(1, _NODES), min_size=1, max_size=_NODES, unique=True)
+_RATES = st.fractions(min_value=0, max_value=3, max_denominator=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_integer_check_packing_agrees_with_fraction_loads(data):
+    """The integer loads accept exactly the packings whose Fraction loads
+    (summed by the test oracle) stay within capacity, with capacities drawn
+    at, 1/den under and 1/den over the heaviest load, and at random."""
+    keys = data.draw(
+        st.lists(
+            st.tuples(st.integers(1, 3), _SETS.map(lambda m: tuple(sorted(m)))),
+            min_size=1, max_size=8, unique=True,
+        )
+    )
+    weights = {key: data.draw(_RATES) for key in keys}
+    loads = node_loads(weights, _NODES)
+    nudge = Fraction(1, data.draw(st.integers(1, 30)))
+    peak = max(loads)
+    capacity = data.draw(st.sampled_from([peak, peak - nudge, peak + nudge]) | _RATES)
+    symbol_weights = data.draw(st.lists(_RATES, min_size=3, max_size=3))
+    worth = sum(symbol_weights[i - 1] * w for (i, _), w in weights.items())
+
+    def accepts(**kwargs):
+        try:
+            hg.check_packing(weights, set(keys), _NODES, capacity, **kwargs)
+        except ValueError:
+            return False
+        return True
+
+    fits = all(load <= capacity for load in loads)
+    assert accepts() == fits
+    assert accepts(value=worth, symbol_weights=symbol_weights) == fits
+    assert not accepts(value=worth + nudge, symbol_weights=symbol_weights)
+
+
+def test_witness_checks_reject_floats():
+    with pytest.raises(ValueError, match="exact rational"):
+        hg.check_packing({(1, (1,)): 0.5}, {(1, (1,))}, 1)
+    with pytest.raises(ValueError, match="exact rational"):
+        hg.check_cover([0.5], [(1, (1,))], 1, Fraction(1, 2))
 
 
 def test_check_cover_accepts_the_unit_column_prices(classic32_instance):

@@ -67,6 +67,16 @@ def test_floats_rejected_at_every_library_entry(classic32, classic32_instance):
         srr.SrrInstance(classic32_instance.system, 0.1)
 
 
+def test_work_limit_message_shows_a_huge_estimate_by_its_size():
+    shown = srr.WorkLimitError("x needs", "steps", 10, 2 ** 996 - 1)
+    assert str(shown) == f"x needs {2 ** 996 - 1} steps, over the limit of 10"
+    sized = srr.WorkLimitError("x needs", "steps", 10, 2 ** 996 + 5)
+    assert str(sized) == "x needs at least 2^996 steps, over the limit of 10"
+    assert (sized.estimate, sized.limit) == (2 ** 996 + 5, 10)
+    bound = srr.WorkLimitError("x needs", "steps", 10, log2=10 ** 9)
+    assert str(bound) == "x needs at least 2^1000000000 steps, over the limit of 10"
+
+
 def test_ints_and_fractions_pass_every_library_entry(classic32, classic32_instance):
     mixed = (1, F(1, 2), 0, 2)
     value, _ = srr.max_served(classic32_instance, mixed)
@@ -211,7 +221,7 @@ def test_lambda_star_closed_form_matches_the_lp(monkeypatch, r, q, layout):
     LP, whose value they must still equal; every other symbol runs the LP."""
     code, capacity = _route_code(r, q, layout)
     instance = srr.SrrInstance.for_code(code, capacity)
-    units = codes.scaled_unit_columns(code.generator)
+    units = {i for i, s in enumerate(code.unit_columns, start=1) if s is not None}
     rewarded_max = srr._rewarded_max
     reached = {}
 
