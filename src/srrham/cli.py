@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import codes, hypergraph as hg, lp, recovery, srr
-from .fields import format_rational, is_prime, parse_rational
+from .fields import format_rational, parse_rational
 
 
 def _load_code(path: str) -> codes.LinearCode:
@@ -33,8 +33,8 @@ def _load_code(path: str) -> codes.LinearCode:
     and optionally a 'parity_check' that must match G, checked in full."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if "generator" not in data or "q" not in data:
-        raise ValueError(f"{path}: expected a code file with 'generator' and 'q'")
+    if not isinstance(data, dict) or "generator" not in data or "q" not in data:
+        raise ValueError(f"{path}: expected a JSON object with 'generator' and 'q'")
     return codes.code_from_json_dict(data)
 
 
@@ -69,9 +69,12 @@ def _load_instance(args) -> srr.SrrInstance:
 
 def _hamming(args) -> codes.LinearCode:
     """Ham(args.r, args.q) in the layout that ``args.systematic`` picks, after
-    checking its generator's size against ``srr.CODE_ENTRY_LIMIT``."""
+    checking its generator's size against ``srr.CODE_ENTRY_LIMIT``.  The size
+    comes first: a primality test of a huge q would not finish."""
     r, q = args.r, args.q
-    if r >= 2 and is_prime(q):
+    if q < 2:
+        raise ValueError(f"q must be prime, got {q}")
+    if r >= 2:
         srr.check_code_entries(r, q)
     build = codes.systematic_hamming if args.systematic else codes.classic_hamming
     return build(r, q)

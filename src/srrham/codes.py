@@ -249,14 +249,41 @@ def odd_weight_column_count(code: LinearCode) -> int:
     return len(odd_weight_columns(code.generator))
 
 
+def _int_rows(rows, key: str) -> list[list[int]]:
+    """The document's ``key`` matrix: a list of lists of ints, never coerced."""
+    if not (
+        isinstance(rows, list)
+        and all(isinstance(row, list) for row in rows)
+        and all(type(v) is int for row in rows for v in row)
+    ):
+        raise ValueError(f"{key!r} must be a list of lists of integers")
+    return rows
+
+
 def code_from_json_dict(data: dict) -> LinearCode:
-    """Rebuild a code from the canonical JSON layout (validating on import)."""
-    q = int(data["q"])
+    """Rebuild a code from the canonical JSON layout (validating on import).
+
+    'q' must be an int, and 'generator' (and 'parity_check', when present)
+    a list of int rows; nothing is coerced.  A Hamming code over GF(q) has
+    length n >= q + 1, so q >= n is rejected before the primality test,
+    which a huge q would not finish.
+    """
+    q = data["q"]
+    if type(q) is not int:
+        raise ValueError(f"'q' must be an integer, got {q!r}")
+    generator = _int_rows(data["generator"], "generator")
+    n = max(map(len, generator), default=0)
+    if q >= n:
+        raise ValueError(
+            f"q = {q} is not below the length n = {n}; a Hamming code over "
+            "GF(q) has n >= q + 1"
+        )
     pc = None
     if data.get("parity_check") is not None:
-        pc = FieldMatrix.from_rows(data["parity_check"], q)
-    code = import_generator(data["generator"], q, parity_check=pc)
+        pc = FieldMatrix.from_rows(_int_rows(data["parity_check"], "parity_check"), q)
+    code = import_generator(generator, q, parity_check=pc)
     for key in ("n", "k", "r"):
-        if key in data and int(data[key]) != getattr(code, key):
+        value = data.get(key, getattr(code, key))
+        if type(value) is not int or value != getattr(code, key):
             raise ValueError(f"inconsistent code file: field {key!r} mismatch")
     return code

@@ -1,31 +1,36 @@
-"""Exact rational linear programming via the two-phase simplex method.
+"""Exact rational linear programming via a one-phase simplex method.
 
-Everything is computed exactly: no tolerances anywhere, an optimal solution
-satisfies every constraint exactly.  Variables are implicitly bounded below
-by zero.  Pivoting follows Bland's rule (lowest eligible index, ratio ties
-broken by lowest basis variable index), which guarantees termination and
-makes returned vertices reproducible; a pivot ceiling turns pathological
-inputs into a diagnosable error instead of a hang.  The ceiling is read here
-and nowhere else: each tableau takes it from ``SRRHAM_PIVOT_LIMIT`` when that
-is set, and uses ``DEFAULT_PIVOT_LIMIT`` otherwise.
+Every LP here has one shape: maximize c . x subject to A x <= b, x >= 0,
+with b >= 0 (a packing LP, and the only shape any region query builds).  So
+the slack basis is feasible from the start: there is no phase 1, no
+artificial column and no equality or >= row, and a negative right-hand side
+is rejected when the problem is built.  Coefficients and objective may be
+any rationals.  Everything is computed exactly: no tolerances anywhere, an
+optimal solution satisfies every constraint exactly.  Pivoting follows
+Bland's rule (lowest eligible index, ratio ties broken by lowest basis
+variable index), which guarantees termination and makes returned vertices
+reproducible; a pivot ceiling turns pathological inputs into a diagnosable
+error instead of a hang.  The ceiling is read here and nowhere else: each
+tableau takes it from ``SRRHAM_PIVOT_LIMIT`` when that is set, and uses
+``DEFAULT_PIVOT_LIMIT`` otherwise.
 
 Internally the simplex is revised (Dantzig and Orchard-Hays, 1954) and
 fraction-free (Bareiss, 1968).  The scaled integer constraint matrix M, with
-its slack and artificial columns, never changes and is held as sparse
-columns.  A pivot rewrites only the basis inverse K = den * B^-1, the basic
-right-hand side and the price row y = c_B K, all integers over one shared
-denominator den (the previous pivot element): an integer multiply/subtract
-and an exact division per entry, whose remainder is checked so that any
-representation bug surfaces at once.  A reduced cost y . M_j - den * c_j is
-formed only when Bland's rule reaches column j, and only the entering column
-K M_j is built.  These are the very integers that pivoting the whole tableau
-K [M | b] would hold, so every sign and ratio comparison, hence the pivot
-sequence and the vertex, are the same as with a full tableau.  A row is
-scaled only by the lcm of its coefficient denominators (1 for every 0/1
-packing row), and the right-hand side carries one common denominator.  Every
-entry is a minor of the starting integer matrix, so a rational right-hand
-side never inflates the coefficient part, and neither scaling changes a sign
-or a ratio comparison.
+its slack columns, never changes and is held as sparse columns.  A pivot
+rewrites only the basis inverse K = den * B^-1, the basic right-hand side and
+the price row y = c_B K, all integers over one shared denominator den (the
+previous pivot element): an integer multiply/subtract and an exact division
+per entry, whose remainder is checked so that any representation bug
+surfaces at once.  A reduced cost y . M_j - den * c_j is formed only when
+Bland's rule reaches column j, and only the entering column K M_j is built.
+These are the very integers that pivoting the whole tableau K [M | b] would
+hold, so every sign and ratio comparison, hence the pivot sequence and the
+vertex, are the same as with a full tableau.  A row is scaled only by the
+lcm of its coefficient denominators (1 for every 0/1 packing row), and the
+right-hand side carries one common denominator.  Every entry is a minor of
+the starting integer matrix, so a rational right-hand side never inflates
+the coefficient part, and neither scaling changes a sign or a ratio
+comparison.
 
 The solver is a pure function of its input; concurrent calls share nothing.
 """
@@ -38,12 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-LE = "<="
-EQ = "=="
-GE = ">="
-
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 DEFAULT_PIVOT_LIMIT = 10 ** 6
@@ -62,13 +62,14 @@ class InvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class Constraint:
+    """The row coeffs . x <= rhs, whose rhs is never negative."""
+
     coeffs: tuple[Fraction, ...]
-    relation: str
     rhs: Fraction
 
     def __post_init__(self) -> None:
-        if self.relation not in (LE, EQ, GE):
-            raise ValueError(f"unknown relation {self.relation!r}")
+        if self.rhs < 0:
+            raise ValueError(f"negative right-hand side {self.rhs}")
 
 
 @dataclass(frozen=True)
@@ -90,12 +91,13 @@ class LpProblem:
     def maximize(
         cls,
         objective: Sequence,
-        constraints: Iterable[tuple[Sequence, str, object]],
+        constraints: Iterable[tuple[Sequence, object]],
     ) -> "LpProblem":
+        """The problem with these (coeffs, rhs) rows; ValueError if rhs < 0."""
         obj = tuple(Fraction(v) for v in objective)
         rows = tuple(
-            Constraint(tuple(Fraction(v) for v in coeffs), rel, Fraction(rhs))
-            for coeffs, rel, rhs in constraints
+            Constraint(tuple(Fraction(v) for v in coeffs), Fraction(rhs))
+            for coeffs, rhs in constraints
         )
         return cls(len(obj), obj, rows)
 
@@ -135,62 +137,36 @@ def _dot(row: list[int], column: list[tuple[int, int]]) -> int:
 class _Tableau:
     """Revised integer-pivoting simplex with Bland's rule.
 
-    ``columns`` holds M as (row, coefficient) pairs.  Row i of ``inverse`` is
-    [K_i | beta_i], where beta = K b is the basic right-hand side, further
-    over rhs_den.  A price row y = c_B K carries y . b as its last entry.
+    ``columns`` holds M as (row, coefficient) pairs: the structural columns,
+    then one slack per row.  Row i of ``inverse`` is [K_i | beta_i], where
+    beta = K b is the basic right-hand side, further over rhs_den.  A price
+    row y = c_B K carries y . b as its last entry.
     """
 
     def __init__(self, problem: LpProblem):
         self.pivot_limit = _resolve_pivot_limit()
-        n = problem.num_vars
-        normalized = []
-        for c in problem.constraints:
-            coeffs, rel, rhs = list(c.coeffs), c.relation, c.rhs
-            if rhs < 0:
-                coeffs = [-v for v in coeffs]
-                rhs = -rhs
-                rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-            normalized.append((coeffs, rel, rhs))
-
-        n_slack = sum(1 for _, rel, _ in normalized if rel in (LE, GE))
-        n_art = sum(1 for _, rel, _ in normalized if rel in (EQ, GE))
-        total = n + n_slack + n_art
+        n, m = problem.num_vars, len(problem.constraints)
         self.n = n
-        self.total = total
-        self.artificial_start = n + n_slack
-        self.columns: list[list[tuple[int, int]]] = [[] for _ in range(total)]
+        self.total = n + m
+        self.columns: list[list[tuple[int, int]]] = [[] for _ in range(self.total)]
         # Entries in each row of the inverse and in a price row: m, then rhs.
-        self.width = len(normalized) + 1
+        self.width = m + 1
         self.den = 1
-        self.basis: list[int] = []
+        # The starting basis is the slacks, feasible because rhs >= 0.
+        self.basis = list(range(n, n + m))
         self.pivots = 0
-        slack_at = n
-        art_at = n + n_slack
-        scaled = [_integer_row(coeffs, rhs) for coeffs, _, rhs in normalized]
+        scale = math.lcm(*(v.denominator for v in problem.objective))
+        self.cost = [int(v * scale) for v in problem.objective] + [0] * m
+        scaled = [_integer_row(c.coeffs, c.rhs) for c in problem.constraints]
         self.rhs_den = math.lcm(*(rhs.denominator for _, rhs in scaled))
-        # The starting basis (one slack or artificial per row) is I, so K = I.
-        self.inverse = [
-            [0] * (self.width - 1) + [int(rhs * self.rhs_den)] for _, rhs in scaled
-        ]
-        for i, ((ints, _), (_, rel, _)) in enumerate(zip(scaled, normalized)):
+        # The slack basis is I, so K = I.
+        self.inverse = [[0] * m + [int(rhs * self.rhs_den)] for _, rhs in scaled]
+        for i, (ints, _) in enumerate(scaled):
             self.inverse[i][i] = 1
             for j, v in enumerate(ints):
                 if v:
                     self.columns[j].append((i, v))
-            if rel == LE:
-                self.columns[slack_at].append((i, 1))
-                self.basis.append(slack_at)
-                slack_at += 1
-            elif rel == GE:
-                self.columns[slack_at].append((i, -1))
-                slack_at += 1
-                self.columns[art_at].append((i, 1))
-                self.basis.append(art_at)
-                art_at += 1
-            else:
-                self.columns[art_at].append((i, 1))
-                self.basis.append(art_at)
-                art_at += 1
+            self.columns[n + i].append((i, 1))
 
     @property
     def rows(self) -> list[list[int]]:
@@ -247,16 +223,18 @@ class _Tableau:
                     new.append(q)
                 row[:] = new
 
-    def _run(self, y: list[int], cost: list[int], banned_from: int) -> str:
-        """Pivot by Bland's rule until no column below ``banned_from`` has a
-        negative reduced cost y . M_j - den * cost[j]."""
+    def optimize(self) -> str:
+        """Pivot by Bland's rule from the slack basis, whose prices y are 0,
+        until no column has a negative reduced cost y . M_j - den * cost[j]."""
         columns = self.columns
         inverse = self.inverse
         basis = self.basis
+        cost = self.cost
+        y = [0] * self.width
         while True:
             den = self.den
             enter = -1
-            for j in range(banned_from):
+            for j in range(self.total):
                 # _dot inlined: pricing is the hottest loop after the update.
                 zj = -den * cost[j]
                 for r, v in columns[j]:
@@ -297,43 +275,6 @@ class _Tableau:
         """Bit length of the largest integer numerator held in the rows."""
         return max((abs(v).bit_length() for row in self.rows for v in row), default=0)
 
-    def _prices(self, cost: list[int]) -> list[int]:
-        """The price row c_B K, with c_B beta last."""
-        y = [0] * self.width
-        for b, row in zip(self.basis, self.inverse):
-            cb = cost[b]
-            if cb:
-                y = [a + cb * v for a, v in zip(y, row)]
-        return y
-
-    def phase1(self) -> bool:
-        """Minimize the artificial sum; True iff a feasible basis was found."""
-        if self.artificial_start == self.total:
-            return True
-        cost = [0] * self.artificial_start + [-1] * (self.total - self.artificial_start)
-        y = self._prices(cost)
-        if self._run(y, cost, self.total) != OPTIMAL or y[-1] != 0:
-            return False
-        # Drive leftover artificials out of the (degenerate) basis.
-        for i in reversed(range(len(self.inverse))):
-            if self.basis[i] >= self.artificial_start:
-                k = self.inverse[i]
-                col = next(
-                    (j for j in range(self.artificial_start) if _dot(k, self.columns[j])),
-                    None,
-                )
-                if col is None:
-                    del self.inverse[i]
-                    del self.basis[i]
-                else:
-                    self._pivot(i, col, self._column(col), [0] * self.width, 0)
-        return True
-
-    def phase2(self, objective: Sequence[Fraction]) -> str:
-        scale = math.lcm(*(v.denominator for v in objective)) if objective else 1
-        cost = [int(v * scale) for v in objective] + [0] * (self.total - self.n)
-        return self._run(self._prices(cost), cost, self.artificial_start)
-
     def solution(self) -> tuple[Fraction, ...]:
         x = [_ZERO] * self.n
         for b, row in zip(self.basis, self.inverse):
@@ -343,12 +284,9 @@ class _Tableau:
 
 
 def solve(problem: LpProblem) -> LpOutcome:
-    """Maximize the objective; exact optimum, or infeasible/unbounded status."""
+    """Maximize the objective; the exact optimum, or an unbounded status."""
     tab = _Tableau(problem)
-    if not tab.phase1():
-        return LpOutcome(INFEASIBLE)
-    status = tab.phase2(problem.objective)
-    if status == UNBOUNDED:
+    if tab.optimize() == UNBOUNDED:
         return LpOutcome(UNBOUNDED)
     x = tab.solution()
     value = sum((c * v for c, v in zip(problem.objective, x)), _ZERO)
@@ -364,13 +302,13 @@ def max_packing(
 
     Item j of ``columns`` lists the rows where column j of the 0/1 matrix A
     has a 1 (a generator keeps one alive at a time).  Every region LP has this
-    shape; rhs >= 0 makes the slack basis feasible, so phase 1 is skipped.
+    shape.
     """
     dense = [[0] * len(weights) for _ in rhs]
     for j, rows in enumerate(columns):
         for r in rows:
             dense[r][j] = 1
-    problem = LpProblem.maximize(weights, zip(dense, [LE] * len(rhs), rhs))
+    problem = LpProblem.maximize(weights, zip(dense, rhs))
     del dense  # the problem holds its own rows; free these before solving
     outcome = solve(problem)
     if outcome.status != OPTIMAL:
@@ -378,9 +316,9 @@ def max_packing(
     return outcome.value, outcome.solution
 
 
-def check_feasible(problem: LpProblem) -> tuple[bool, Optional[tuple[Fraction, ...]]]:
-    """Phase-1 feasibility test; returns a feasible point when one exists."""
-    tab = _Tableau(problem)
-    if not tab.phase1():
-        return False, None
-    return True, tab.solution()
+def check_feasible(problem: LpProblem) -> tuple[bool, tuple[Fraction, ...]]:
+    """Every LpProblem is feasible: x = 0 meets A x <= b, b >= 0.
+
+    This stub goes once the benchmark tracer stops wrapping it by name
+    (ROADMAP item 1)."""
+    return True, (_ZERO,) * problem.num_vars

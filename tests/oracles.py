@@ -2,10 +2,14 @@
 
 The brute-force oracles enumerate their whole search space and share no code
 with the algorithm they check, so agreement is evidence that both are right.
-Their cost grows exponentially, so they are meant for short codes only.  The
-phase-1 membership LP shares only the simplex core with the package.
-``DenseTableau`` is the full-tableau integer simplex that the package's
-revised simplex replaced; the two must pivot identically.
+Their cost grows exponentially, so they are meant for short codes only.
+
+``DenseTableau`` is the general two-phase, full-tableau integer simplex that
+the package's one-phase revised simplex replaced: it takes ``GeneralLp``
+problems, whose rows may be equalities or >= rows with a right-hand side of
+either sign.  On the package's A x <= b, b >= 0 shape the two must pivot
+identically.  The phase-1 membership oracle runs on it, so it shares no
+simplex with the package.
 """
 
 from __future__ import annotations
@@ -13,18 +17,23 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Optional, Sequence
 
 from srrham import lp
 from srrham.lp import (
-    EQ, GE, LE, OPTIMAL, UNBOUNDED, InvariantError, LpProblem, PivotLimitError,
-    _integer_row, _resolve_pivot_limit,
+    OPTIMAL, UNBOUNDED, InvariantError, PivotLimitError, _resolve_pivot_limit,
 )
 from srrham.codes import LinearCode
 from srrham.fields import FieldMatrix
 
 ORACLE_MAX_LENGTH = 15
+
+LE = "<="
+EQ = "=="
+GE = ">="
+INFEASIBLE = "infeasible"
 
 _ZERO = Fraction(0)
 
@@ -177,17 +186,48 @@ def equivalent_generator(generator: FieldMatrix, rng: random.Random) -> FieldMat
     )
 
 
-def evaluate_constraints(problem: lp.LpProblem, solution: Sequence[Fraction]) -> bool:
+@dataclass(frozen=True)
+class GeneralLp:
+    """Maximize objective . x subject to (coeffs, relation, rhs) rows and
+    x >= 0, where a relation is LE, EQ or GE and rhs has either sign."""
+
+    objective: tuple[Fraction, ...]
+    rows: tuple[tuple[tuple[Fraction, ...], str, Fraction], ...]
+
+    @classmethod
+    def of(cls, objective: Sequence, rows: Iterable[tuple]) -> "GeneralLp":
+        return cls(
+            tuple(Fraction(v) for v in objective),
+            tuple(
+                (tuple(Fraction(v) for v in coeffs), rel, Fraction(rhs))
+                for coeffs, rel, rhs in rows
+            ),
+        )
+
+    @classmethod
+    def from_problem(cls, problem: lp.LpProblem) -> "GeneralLp":
+        """The package's A x <= b problem, every row an LE row."""
+        return cls(
+            problem.objective,
+            tuple((c.coeffs, LE, c.rhs) for c in problem.constraints),
+        )
+
+    @property
+    def num_vars(self) -> int:
+        return len(self.objective)
+
+
+def evaluate_constraints(problem: GeneralLp, solution: Sequence[Fraction]) -> bool:
     """Exact check that a point satisfies every constraint and x >= 0."""
     if any(x < 0 for x in solution):
         return False
-    for c in problem.constraints:
-        lhs = sum((a * x for a, x in zip(c.coeffs, solution)), Fraction(0))
-        if c.relation == lp.LE and lhs > c.rhs:
+    for coeffs, rel, rhs in problem.rows:
+        lhs = sum((a * x for a, x in zip(coeffs, solution)), Fraction(0))
+        if rel == LE and lhs > rhs:
             return False
-        if c.relation == lp.GE and lhs < c.rhs:
+        if rel == GE and lhs < rhs:
             return False
-        if c.relation == lp.EQ and lhs != c.rhs:
+        if rel == EQ and lhs != rhs:
             return False
     return True
 
@@ -238,10 +278,11 @@ def bland_packing(
 
 def phase1_membership(instance, demand) -> tuple[bool, dict | None]:
     """Membership as plain feasibility: k equality rows (service = demand),
-    then n capacity rows, solved by phase 1 of the simplex alone.
+    then n capacity rows, with a zero objective: phase 1 of ``DenseTableau``
+    decides it.
 
     This is the formulation the package used before every region query
-    became one packing LP; it shares only the simplex core with it.
+    became one packing LP; it shares no simplex with the package.
     Returns the verdict and, for members, the feasible point as
     {(symbol, set): weight}.
     """
@@ -250,24 +291,40 @@ def phase1_membership(instance, demand) -> tuple[bool, dict | None]:
     rows = []
     for i in range(1, code.k + 1):
         coeffs = [1 if vi == i else 0 for vi, _ in variables]
-        rows.append((coeffs, lp.EQ, Fraction(demand[i - 1])))
+        rows.append((coeffs, EQ, Fraction(demand[i - 1])))
     for v in range(1, code.n + 1):
         coeffs = [1 if v in members else 0 for _, members in variables]
-        rows.append((coeffs, lp.LE, instance.capacity))
-    problem = lp.LpProblem.maximize([0] * len(variables), rows)
-    feasible, point = lp.check_feasible(problem)
-    if not feasible:
+        rows.append((coeffs, LE, instance.capacity))
+    problem = GeneralLp.of([0] * len(variables), rows)
+    status, _, point = dense_solve(problem)
+    if status == INFEASIBLE:
         return False, None
     assert evaluate_constraints(problem, point)
     return True, {var: w for var, w in zip(variables, point) if w}
+
+
+def dense_solve(
+    problem: GeneralLp,
+) -> tuple[str, Optional[Fraction], Optional[tuple[Fraction, ...]]]:
+    """Two-phase solve on ``DenseTableau``: (status, optimum, vertex)."""
+    tab = DenseTableau(problem)
+    if not tab.phase1():
+        return INFEASIBLE, None, None
+    if tab.phase2(problem.objective) == UNBOUNDED:
+        return UNBOUNDED, None, None
+    x = tab.solution()
+    return OPTIMAL, sum((c * v for c, v in zip(problem.objective, x)), _ZERO), x
 
 
 class DenseTableau:
     """Integer-pivoting simplex dictionary with Bland's rule.
 
     The dense reference for ``lp._Tableau``: every pivot rewrites the whole
-    m x (n + m) tableau, where ``lp._Tableau`` pivots only the basis inverse.
-    Both must take the same pivots and reach the same state.
+    tableau, where ``lp._Tableau`` pivots only the basis inverse.  On an
+    all-LE problem with rhs >= 0, phase 1 does nothing, and both must take
+    the same pivots and reach the same state.  A row with a negative rhs is
+    negated first, which swaps LE and GE; each GE or EQ row gets an
+    artificial column, which phase 1 drives out.
 
     True tableau entries are rows[i][j] / den with den > 0; the last column
     is the right-hand side, whose entries are further over rhs_den.  The
@@ -275,12 +332,12 @@ class DenseTableau:
     reduced-cost signs can be read off the numerators.
     """
 
-    def __init__(self, problem: LpProblem):
+    def __init__(self, problem: GeneralLp):
         self.pivot_limit = _resolve_pivot_limit()
         n = problem.num_vars
         normalized = []
-        for c in problem.constraints:
-            coeffs, rel, rhs = list(c.coeffs), c.relation, c.rhs
+        for coeffs, rel, rhs in problem.rows:
+            coeffs = list(coeffs)
             if rhs < 0:
                 coeffs = [-v for v in coeffs]
                 rhs = -rhs
@@ -299,7 +356,11 @@ class DenseTableau:
         self.pivots = 0
         slack_at = n
         art_at = n + n_slack
-        scaled = [_integer_row(coeffs, rhs) for coeffs, _, rhs in normalized]
+        scaled = []
+        for coeffs, _, rhs in normalized:
+            # Each row over the lcm of its coefficient denominators.
+            mult = math.lcm(*(v.denominator for v in coeffs))
+            scaled.append(([int(v * mult) for v in coeffs], rhs * mult))
         self.rhs_den = math.lcm(*(rhs.denominator for _, rhs in scaled))
         for (ints, rhs), (_, rel, _) in zip(scaled, normalized):
             row = ints + [0] * (total - n) + [int(rhs * self.rhs_den)]

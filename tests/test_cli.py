@@ -150,6 +150,46 @@ def test_import_rejects_a_parity_check_that_does_not_match(tmp_path, capsys, cor
     assert "does not match the generator" in err
 
 
+_HUGE_PRIME = "1000000000000000003"
+_FLOAT_ENTRY = [[1.0] + NONSYS_G[0][1:]] + NONSYS_G[1:]
+_STRING_ENTRY = [["1"] + NONSYS_G[0][1:]] + NONSYS_G[1:]
+
+
+@pytest.mark.parametrize("command", ["import", "check"])
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"q": 2.5, "generator": NONSYS_G},
+        {"q": "2", "generator": NONSYS_G},
+        {"q": 2, "generator": _FLOAT_ENTRY},
+        {"q": 2, "generator": _STRING_ENTRY},
+        7,
+        None,
+        {"q": int(_HUGE_PRIME), "generator": [[1, 0, 1], [0, 1, 1]]},
+    ],
+    ids=["float-q", "string-q", "float-entry", "string-entry", "number", "null",
+         "huge-q"],
+)
+def test_malformed_code_document_exits_2(tmp_path, capsys, command, document):
+    # A code document is read as written: no float or string is coerced.  A
+    # huge q is rejected by the length bound n >= q + 1 before any primality
+    # test, whose trial division would not finish.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document))
+    extra = ["--demand", "1"] if command == "check" else []
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, command, str(bad), *extra)
+    assert time.perf_counter() - start < 1
+    _assert_one_error_line(rc, out, err)
+
+
+@pytest.mark.parametrize("q", ["1", "0", "4"])
+def test_gen_rejects_a_q_that_is_not_prime(capsys, q):
+    rc, out, err = run_cli(capsys, "gen", "-r", "3", "-q", q)
+    _assert_one_error_line(rc, out, err)
+    assert f"q must be prime, got {q}" in err
+
+
 def test_recovery_command(tmp_path, capsys):
     path = gen_file(tmp_path, "gen", "-r", "3", "-q", "2")
     rc, out, _ = run_cli(capsys, "recovery", path)
@@ -587,12 +627,19 @@ def test_code_over_entry_limit_exits_3_before_building(capsys, command):
         (["gen", "-r", "8000", "-q", "2"], "Ham(8000,2) has at least 2^7999 generator"),
         (["gen", "-r", "30000000", "-q", "2"], "has at least 2^29999999 generator"),
         (["verify", "-r", "8000", "-q", "2"], "Ham(8000,2) has at least 2^7999"),
+        # The size check runs before the primality test of q, which would
+        # not finish: so a huge q exits 3 whether it is prime or not.
+        (["gen", "-r", "2", "-q", _HUGE_PRIME],
+         f"Ham(2,{_HUGE_PRIME}) has {(int(_HUGE_PRIME) + 1) * (int(_HUGE_PRIME) - 1)} generator"),
+        (["verify", "-r", "3", "-q", _HUGE_PRIME], f"Ham(3,{_HUGE_PRIME}) has "),
+        (["gen", "-r", "2", "-q", "1000000000000000004"], "Ham(2,1000000000000000004) has "),
         (["m3", "-r", "20000"], "m3 at r=20000 needs at least 2^19999 pair checks"),
         (["m3", "-r", "10000000"], "m3 at r=10000000 needs at least 2^9999999 pair"),
         (["slice", "{path}", "--axes", "a", "--max", "1", "--step", "1/1" + "0" * 2200],
          f"slice needs at least 2^{(10 ** 2200 + 1).bit_length() - 1} membership LPs"),
     ],
-    ids=["gen", "gen-huge-r", "verify", "m3", "m3-huge-r", "slice"],
+    ids=["gen", "gen-huge-r", "verify", "gen-huge-q", "verify-huge-q",
+         "gen-huge-composite-q", "m3", "m3-huge-r", "slice"],
 )
 def test_work_limit_exits_3_however_large_the_estimate(tmp_path, capsys, argv, message):
     """The estimate of a huge run is shown by its size, so its message never
