@@ -13,6 +13,10 @@ estimated work of an enumeration, of a ``slice`` grid or of building a code)
 aborts the run, and 4 when an internal invariant fails (a solver witness or
 exactness check: a bug, not bad input).  The LP pivot ceiling has no
 option: ``lp`` reads it from ``SRRHAM_PIVOT_LIMIT``.
+
+The module top imports only the standard library: each command imports the
+package modules it runs, so ``--help`` loads none of them, and ``gen``,
+``import`` and ``recovery`` never load the solver.
 """
 
 from __future__ import annotations
@@ -21,16 +25,19 @@ import argparse
 import itertools
 import json
 import sys
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import codes, hypergraph as hg, lp, recovery, srr
-from .fields import format_rational, parse_rational
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from . import codes, srr
 
 
 def _load_code(path: str) -> codes.LinearCode:
     """The code document at ``path``: a JSON object with 'generator' and 'q',
     and optionally a 'parity_check' that must match G, checked in full."""
+    from . import codes
+
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or "generator" not in data or "q" not in data:
@@ -59,23 +66,30 @@ def _symbols_arg(text: str, k: int) -> list[int]:
 
 def _rationals(text: str) -> list[Fraction]:
     """Comma-separated exact rationals, as ``--demand`` and ``--weights`` take."""
+    from .fields import parse_rational
+
     return [parse_rational(t) for t in text.split(",")]
 
 
 def _load_instance(args) -> srr.SrrInstance:
     """The code file ``args.code`` as a region instance at ``args.capacity``."""
+    from . import srr
+    from .fields import parse_rational
+
     return srr.SrrInstance.for_code(_load_code(args.code), parse_rational(args.capacity))
 
 
 def _hamming(args) -> codes.LinearCode:
     """Ham(args.r, args.q) in the layout that ``args.systematic`` picks, after
-    checking its generator's size against ``srr.CODE_ENTRY_LIMIT``.  The size
-    comes first: a primality test of a huge q would not finish."""
+    checking its generator's size against ``codes.CODE_ENTRY_LIMIT``.  The
+    size comes first: a primality test of a huge q would not finish."""
+    from . import codes
+
     r, q = args.r, args.q
     if q < 2:
         raise ValueError(f"q must be prime, got {q}")
     if r >= 2:
-        srr.check_code_entries(r, q)
+        codes.check_code_entries(r, q)
     build = codes.systematic_hamming if args.systematic else codes.classic_hamming
     return build(r, q)
 
@@ -89,12 +103,16 @@ def _cmd_import(args) -> dict:
 
 
 def _cmd_recovery(args) -> dict:
+    from . import recovery
+
     code = _load_code(args.code)
     system = recovery.build_recovery_system(code)
     return system.to_json_dict()
 
 
 def _cmd_stats(args) -> dict:
+    from . import hypergraph as hg, recovery
+
     code = _load_code(args.code)
     system = recovery.build_recovery_system(code)
     graph = hg.from_recovery_system(system)
@@ -104,6 +122,8 @@ def _cmd_stats(args) -> dict:
 
 
 def _cmd_check(args) -> dict:
+    from . import srr
+
     instance = _load_instance(args)
     member, allocation = srr.membership(instance, _rationals(args.demand))
     out = {"member": member}
@@ -112,6 +132,9 @@ def _cmd_check(args) -> dict:
 
 
 def _cmd_max(args) -> dict:
+    from . import srr
+    from .fields import format_rational
+
     instance = _load_instance(args)
     value, demand, allocation = srr.max_objective(instance, _rationals(args.weights))
     return {
@@ -122,6 +145,9 @@ def _cmd_max(args) -> dict:
 
 
 def _cmd_lambda_star(args) -> dict:
+    from . import srr
+    from .fields import format_rational
+
     instance = _load_instance(args)
     if args.symbol:
         i = _symbol_token(args.symbol, instance.code.k)
@@ -132,17 +158,25 @@ def _cmd_lambda_star(args) -> dict:
 
 
 def _cmd_delta(args) -> dict:
+    from . import srr
+    from .fields import format_rational
+
     instance = _load_instance(args)
     return {"delta": format_rational(srr.delta_simplex(instance))}
 
 
 def _cmd_subset(args) -> dict:
+    from . import srr
+
     instance = _load_instance(args)
     subset = _symbols_arg(args.symbols, instance.code.k)
     return srr.subset_bound(instance, subset).to_json_dict()
 
 
 def _cmd_waterfill(args) -> dict:
+    from . import srr
+    from .fields import format_rational
+
     instance = _load_instance(args)
     allocation, served, residual = srr.waterfill(
         instance, _rationals(args.demand), args.max_events
@@ -155,6 +189,8 @@ def _cmd_waterfill(args) -> dict:
 
 
 def _cmd_m3(args) -> dict:
+    from . import srr
+
     srr.check_m3_budget(args.r)
     closed = srr.m3_closed_form(args.r)
     brute = srr.m3_brute(args.r)
@@ -162,6 +198,8 @@ def _cmd_m3(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
+    from . import srr
+
     if args.code:
         code = _load_code(args.code)
     elif args.r is None or args.q is None:
@@ -172,6 +210,11 @@ def _cmd_verify(args) -> dict:
 
 
 def _cmd_slice(args) -> str:
+    from fractions import Fraction
+
+    from . import srr
+    from .fields import format_rational, parse_rational
+
     instance = _load_instance(args)
     k = instance.code.k
     axes = _symbols_arg(args.axes, k)
@@ -283,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         "waterfill", parents=[region], help="greedy request-splitting allocation"
     )
     p.add_argument("--demand", required=True)
-    p.add_argument("--max-events", type=int, default=srr.WATERFILL_EVENT_LIMIT)
+    p.add_argument("--max-events", type=int)
     p.set_defaults(func=_cmd_waterfill)
 
     p = sub.add_parser("m3", help="triples whose pairwise sums close at 3")
@@ -314,6 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    from .errors import EventLimitError, InvariantError, PivotLimitError, WorkLimitError
+
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -328,10 +373,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 fh.write(payload)
         else:
             sys.stdout.write(payload)
-    except (lp.PivotLimitError, srr.EventLimitError, srr.WorkLimitError) as exc:
+    except (PivotLimitError, EventLimitError, WorkLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except lp.InvariantError as exc:
+    except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
     except json.JSONDecodeError as exc:  # a ValueError, so it must come first

@@ -17,10 +17,29 @@ import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from .errors import SHOWN_BITS, WorkLimitError
 from .fields import FieldMatrix, is_prime, kernel_basis, rank
+
+# Ham(11, 2) has k * n = 4.2 M generator entries: gen builds and writes it in
+# about 5 s with a 400 MB peak (Python 3.11 on a 2-core Xeon VM), and each
+# step in r costs about 4x more, so this limit admits it and stops Ham(12, 2).
+CODE_ENTRY_LIMIT = 5 * 10 ** 6
+
 
 def hamming_length(r: int, q: int) -> int:
     return (q ** r - 1) // (q - 1)
+
+
+def check_code_entries(r: int, q: int) -> None:
+    """Raise WorkLimitError if Ham(r, q)'s generator has more than
+    CODE_ENTRY_LIMIT entries.  There are at least n >= 2^(r-1) of them,
+    which settles a huge r before q^r is formed."""
+    subject = f"Ham({r},{q}) has"
+    if r - 1 > SHOWN_BITS:
+        raise WorkLimitError(subject, "generator entries", CODE_ENTRY_LIMIT, log2=r - 1)
+    n = hamming_length(r, q)
+    if (n - r) * n > CODE_ENTRY_LIMIT:
+        raise WorkLimitError(subject, "generator entries", CODE_ENTRY_LIMIT, (n - r) * n)
 
 
 @dataclass(frozen=True)
@@ -249,14 +268,18 @@ def odd_weight_column_count(code: LinearCode) -> int:
     return len(odd_weight_columns(code.generator))
 
 
-def _int_rows(rows, key: str) -> list[list[int]]:
-    """The document's ``key`` matrix: a list of lists of ints, never coerced."""
+def _int_rows(rows, key: str, q: int) -> list[list[int]]:
+    """The document's ``key`` matrix: a list of lists of ints in [0, q),
+    never coerced or reduced."""
     if not (
         isinstance(rows, list)
         and all(isinstance(row, list) for row in rows)
         and all(type(v) is int for row in rows for v in row)
     ):
         raise ValueError(f"{key!r} must be a list of lists of integers")
+    bad = next((v for row in rows for v in row if not 0 <= v < q), None)
+    if bad is not None:
+        raise ValueError(f"{key!r} entry {bad} is outside [0, {q})")
     return rows
 
 
@@ -264,14 +287,17 @@ def code_from_json_dict(data: dict) -> LinearCode:
     """Rebuild a code from the canonical JSON layout (validating on import).
 
     'q' must be an int, and 'generator' (and 'parity_check', when present)
-    a list of int rows; nothing is coerced.  A Hamming code over GF(q) has
-    length n >= q + 1, so q >= n is rejected before the primality test,
-    which a huge q would not finish.
+    a list of int rows with entries in [0, q); nothing is coerced or reduced
+    (unlike ``import_generator``, which reduces its entries mod q).  A
+    Hamming code over GF(q) has length n >= q + 1, so q >= n is rejected
+    before the primality test, which a huge q would not finish.
     """
     q = data["q"]
     if type(q) is not int:
         raise ValueError(f"'q' must be an integer, got {q!r}")
-    generator = _int_rows(data["generator"], "generator")
+    if q < 2:  # else every entry would be reported out of [0, q)
+        raise ValueError(f"modulus {q} is not prime")
+    generator = _int_rows(data["generator"], "generator", q)
     n = max(map(len, generator), default=0)
     if q >= n:
         raise ValueError(
@@ -280,7 +306,7 @@ def code_from_json_dict(data: dict) -> LinearCode:
         )
     pc = None
     if data.get("parity_check") is not None:
-        pc = FieldMatrix.from_rows(_int_rows(data["parity_check"], "parity_check"), q)
+        pc = FieldMatrix.from_rows(_int_rows(data["parity_check"], "parity_check", q), q)
     code = import_generator(generator, q, parity_check=pc)
     for key in ("n", "k", "r"):
         value = data.get(key, getattr(code, key))

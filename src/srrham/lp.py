@@ -43,6 +43,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from .errors import InvariantError, PivotLimitError
+
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 
@@ -50,14 +52,6 @@ DEFAULT_PIVOT_LIMIT = 10 ** 6
 PIVOT_LIMIT_ENV = "SRRHAM_PIVOT_LIMIT"
 
 _ZERO = Fraction(0)
-
-
-class PivotLimitError(RuntimeError):
-    """Raised when the simplex exceeds its pivot ceiling."""
-
-
-class InvariantError(RuntimeError):
-    """An internal consistency check failed: a bug, never bad input."""
 
 
 @dataclass(frozen=True)

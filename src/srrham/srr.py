@@ -38,7 +38,13 @@ from typing import Collection, Iterable, Optional, Sequence
 
 from . import hypergraph as hg
 from . import lp
-from .codes import LinearCode, hamming_length, odd_weight_column_count
+from .codes import (  # re-exports CODE_ENTRY_LIMIT and check_code_entries
+    CODE_ENTRY_LIMIT,
+    LinearCode,
+    check_code_entries,
+    odd_weight_column_count,
+)
+from .errors import SHOWN_BITS, EventLimitError, WorkLimitError
 from .fields import exact_rational, format_rational
 from .recovery import RecoverySystem, build_recovery_system, structure_report
 
@@ -56,44 +62,8 @@ M3_PAIR_LIMIT = 5 * 10 ** 7
 # machine), so a slice grid of this many points runs for 2 to 20 minutes.
 SLICE_POINT_LIMIT = 10 ** 5
 
-# Ham(11, 2) has k * n = 4.2 M generator entries: gen builds and writes it in
-# about 5 s with a 400 MB peak (on that machine), and each step in r costs
-# about 4x more, so this limit admits it and stops Ham(12, 2).
-CODE_ENTRY_LIMIT = 5 * 10 ** 6
-
-# 2^996 < 10^300: a work estimate below 2^996 is printed in full.
-_SHOWN_BITS = 996
-
 # Default ceiling on waterfilling events (pour steps) before EventLimitError.
 WATERFILL_EVENT_LIMIT = 10_000
-
-
-class EventLimitError(RuntimeError):
-    """Raised when the waterfilling simulation exceeds its event ceiling."""
-
-
-class WorkLimitError(RuntimeError):
-    """Raised before an enumeration whose estimated work is over its limit.
-
-    The message reads "<subject> <estimate> <unit>, over the limit of
-    <limit>".  An estimate of more than 300 digits is shown by its size, as
-    the power of two "at least 2^b" at or below it, and a caller that settles
-    the budget from a huge parameter alone passes that b as ``log2`` instead
-    of an estimate; so no message ever needs a huge decimal conversion.
-    """
-
-    def __init__(
-        self,
-        subject: str,
-        unit: str,
-        limit: int,
-        estimate: Optional[int] = None,
-        log2: Optional[int] = None,
-    ) -> None:
-        self.estimate, self.limit = estimate, limit
-        bits = log2 if estimate is None else estimate.bit_length() - 1
-        shown = str(estimate) if bits < _SHOWN_BITS else f"at least 2^{bits}"
-        super().__init__(f"{subject} {shown} {unit}, over the limit of {limit}")
 
 
 @dataclass(frozen=True)
@@ -376,7 +346,7 @@ def subset_bound(instance: SrrInstance, symbols: Iterable[int]) -> SubsetBound:
 def waterfill(
     instance: SrrInstance,
     demand: Sequence[Fraction],
-    max_events: int = WATERFILL_EVENT_LIMIT,
+    max_events: Optional[int] = None,
 ) -> tuple[Allocation, DemandVector, DemandVector]:
     """Greedy request splitting: systematic server first, then least load.
 
@@ -387,9 +357,13 @@ def waterfill(
     a node saturates, a set's load catches the next-higher load tier, or a
     residual runs out.  A set's load is the maximum load among its nodes, and
     sets containing a saturated node take no further traffic.  Returns the
-    allocation, the served part, and the unserved residual.
+    allocation, the served part, and the unserved residual.  More than
+    ``max_events`` steps (``WATERFILL_EVENT_LIMIT`` when None) raise
+    EventLimitError.
     """
     demand = _demand(instance, demand)
+    if max_events is None:
+        max_events = WATERFILL_EVENT_LIMIT
     code = instance.code
     if code.systematic_positions is None:
         raise ValueError("waterfilling requires a systematic code")
@@ -489,18 +463,6 @@ def m3_closed_form(r: int) -> int:
     return numerator // 3
 
 
-def check_code_entries(r: int, q: int) -> None:
-    """Raise WorkLimitError if Ham(r, q)'s generator has more than
-    CODE_ENTRY_LIMIT entries.  There are at least n >= 2^(r-1) of them,
-    which settles a huge r before q^r is formed."""
-    subject = f"Ham({r},{q}) has"
-    if r - 1 > _SHOWN_BITS:
-        raise WorkLimitError(subject, "generator entries", CODE_ENTRY_LIMIT, log2=r - 1)
-    n = hamming_length(r, q)
-    if (n - r) * n > CODE_ENTRY_LIMIT:
-        raise WorkLimitError(subject, "generator entries", CODE_ENTRY_LIMIT, (n - r) * n)
-
-
 def check_m3_budget(r: int) -> None:
     """Raise ValueError for r < 3, and WorkLimitError if ``m3_brute`` would
     check more than M3_PAIR_LIMIT pairs.  There are at least 2^(r-1) of them,
@@ -508,7 +470,7 @@ def check_m3_budget(r: int) -> None:
     if r < 3:
         raise ValueError(f"r must be >= 3, got {r}")
     subject = f"m3 at r={r} needs"
-    if r - 1 > _SHOWN_BITS:
+    if r - 1 > SHOWN_BITS:
         raise WorkLimitError(subject, "pair checks", M3_PAIR_LIMIT, log2=r - 1)
     heavy_count = 2 ** r - 1 - r
     pairs = heavy_count * (heavy_count - 1) // 2

@@ -166,9 +166,10 @@ _STRING_ENTRY = [["1"] + NONSYS_G[0][1:]] + NONSYS_G[1:]
         7,
         None,
         {"q": int(_HUGE_PRIME), "generator": [[1, 0, 1], [0, 1, 1]]},
+        {"q": 0, "generator": NONSYS_G},
     ],
     ids=["float-q", "string-q", "float-entry", "string-entry", "number", "null",
-         "huge-q"],
+         "huge-q", "zero-q"],
 )
 def test_malformed_code_document_exits_2(tmp_path, capsys, command, document):
     # A code document is read as written: no float or string is coerced.  A
@@ -181,6 +182,31 @@ def test_malformed_code_document_exits_2(tmp_path, capsys, command, document):
     rc, out, err = run_cli(capsys, command, str(bad), *extra)
     assert time.perf_counter() - start < 1
     _assert_one_error_line(rc, out, err)
+
+
+@pytest.mark.parametrize("key", ["generator", "parity_check"])
+@pytest.mark.parametrize(
+    "r,q,old,new",
+    [(3, 2, 1, 3), (3, 2, 1, -1), (3, 3, 0, 3)],
+    ids=["q2-entry-3", "q2-entry-minus-1", "q3-entry-3"],
+)
+def test_unreduced_matrix_entry_exits_2(tmp_path, capsys, key, r, q, old, new):
+    # The new entry is congruent to the one it replaces, so reducing mod q
+    # would accept the document with a different matrix than it states.
+    path = gen_file(tmp_path, "gen", "-r", str(r), "-q", str(q))
+    good = json.loads(open(path).read())
+    data = json.loads(open(path).read())
+    row = data[key][0]
+    row[row.index(old)] = new
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    rc, out, err = run_cli(capsys, "import", str(bad))
+    _assert_one_error_line(rc, out, err)
+    assert f"{key!r} entry {new} is outside [0, {q})" in err
+    # The library call still reduces its entries mod q.
+    assert codes.import_generator(data["generator"], q) == codes.import_generator(
+        good["generator"], q
+    )
 
 
 @pytest.mark.parametrize("q", ["1", "0", "4"])
