@@ -46,15 +46,16 @@ def _load_code(path: str) -> codes.LinearCode:
 
 
 def _symbol_token(token: str, k: int) -> int:
-    """A data symbol given as a 1-based index or a letter (a=1, b=2, ...)."""
+    """A data symbol given as a 1-based index of ASCII digits or as one ASCII
+    letter (a=1, b=2, ...).  ``int`` and ``str.isalpha`` accept far more
+    ('٣', '1_0', '+3', 'é'), so both are checked against ASCII first."""
     tok = token.strip()
-    if tok.isalpha() and len(tok) == 1:
+    if len(tok) == 1 and tok.isascii() and tok.isalpha():
         idx = ord(tok.lower()) - ord("a") + 1
+    elif tok.isascii() and tok.isdigit():
+        idx = int(tok)
     else:
-        try:
-            idx = int(tok)
-        except ValueError as exc:
-            raise ValueError(f"bad symbol token {token!r}") from exc
+        raise ValueError(f"bad symbol token {token!r}")
     if not 1 <= idx <= k:
         raise ValueError(f"symbol {token!r} out of range 1..{k}")
     return idx

@@ -27,6 +27,14 @@ from .recovery import RecoverySet, RecoverySystem
 Edge = tuple[int, RecoverySet]
 
 
+def canonical_order(edges: Iterable[Edge]) -> list[Edge]:
+    """The edges sorted by (size, members, symbol): the one column order of
+    every packing LP in the package, since Bland's rule enters the first
+    improving column and small sets first reach the optimum in far fewer
+    pivots than a symbol-major order."""
+    return sorted(edges, key=lambda e: (len(e[1]), e[1], e[0]))
+
+
 def _mask(members: Iterable[int]) -> int:
     m = 0
     for v in members:
@@ -54,8 +62,7 @@ class Hypergraph:
             if edge in seen:
                 raise ValueError(f"duplicate edge {edge}")
             seen.add(edge)
-        canonical = sorted(self.edges, key=lambda e: (len(e[1]), e[1], e[0]))
-        object.__setattr__(self, "edges", tuple(canonical))
+        object.__setattr__(self, "edges", tuple(canonical_order(self.edges)))
 
 
 def from_recovery_system(system: RecoverySystem) -> Hypergraph:

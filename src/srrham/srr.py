@@ -9,6 +9,14 @@ member iff ``max_served`` serves all of it.  Waterfilling is exact event
 simulation.  Restricting to minimum recovery sets loses nothing because any
 larger recovery set can only load more nodes for the same service.
 
+Every LP here lists its columns in one order, the hypergraph's canonical
+(size, members, symbol) order (``SrrInstance.variables``).  The simplex
+enters the first improving column (Bland's rule), so the order picks the
+pivot path: size-first columns fill each node with its cheapest sets and
+solve the sum-rate of systematic Ham(5,2) in 26 pivots, where a symbol-major
+order took 106.  One order also makes the sum-rate LP and mu_f the same LP,
+with the same optimal vertex.
+
 Per-symbol maxima and subset bounds go one step further and keep only the
 sets of the symbols their objective rewards: a set of any other symbol has
 weight 0, adds nothing to the objective and only takes node capacity, so
@@ -62,6 +70,11 @@ M3_PAIR_LIMIT = 5 * 10 ** 7
 # machine), so a slice grid of this many points runs for 2 to 20 minutes.
 SLICE_POINT_LIMIT = 10 ** 5
 
+# A subset LP of verify costs 3 to 5 us per entry of its dense n x columns
+# matrix on systematic Ham(6..8, 2) (same machine), so this limit stops the
+# sampled subset LPs before they would run past about 2 minutes.
+VERIFY_ENTRY_LIMIT = 3 * 10 ** 7
+
 # Default ceiling on waterfilling events (pour steps) before EventLimitError.
 WATERFILL_EVENT_LIMIT = 10_000
 
@@ -89,9 +102,14 @@ class SrrInstance:
     def variables(
         self, symbols: Optional[Collection[int]] = None
     ) -> list[hg.Edge]:
-        """Canonical (symbol, recovery set) order shared by all LPs here,
-        keeping only the sets of ``symbols`` when it is given."""
-        return [e for e in self.system if symbols is None or e[0] in symbols]
+        """The (symbol, recovery set) columns of every LP here, keeping only
+        the sets of ``symbols`` when it is given, in the hypergraph's one
+        canonical (size, members, symbol) order, ``hg.canonical_order``:
+        size-first columns take a fraction of the pivots of a symbol-major
+        order, and mu_f and the sum-rate become one LP with one vertex."""
+        return hg.canonical_order(
+            e for e in self.system if symbols is None or e[0] in symbols
+        )
 
 
 @dataclass
@@ -507,6 +525,34 @@ def _tight_on_sample(
     return len(subsets), all(subset_bound(instance, s).tight for s in subsets)
 
 
+def _uniformized_sizes(k: int, samples: int) -> list[int]:
+    """Subset sizes of verify's uniformized-ceiling check: 1, 1, 2, 2, ..."""
+    return [s for s in range(1, k) for _ in range(2)][:samples]
+
+
+def check_verify_budget(code: LinearCode, samples: int) -> None:
+    """Raise WorkLimitError if the subset LPs that ``verify_report`` samples
+    would hold more than VERIFY_ENTRY_LIMIT matrix entries in all.  They run
+    on binary systematic codes only, where every symbol has 2^(r-1) + 1
+    recovery sets, so a subset of s symbols is an n x s (2^(r-1) + 1) LP."""
+    if code.q != 2 or code.systematic_positions is None:
+        return
+    k = code.k
+    symbols = (
+        2 * min(samples, math.comb(k, 2))
+        + 3 * min(samples, math.comb(k, 3))
+        + sum(_uniformized_sizes(k, samples))
+    )
+    entries = symbols * (2 ** (code.r - 1) + 1) * code.n
+    if entries > VERIFY_ENTRY_LIMIT:
+        raise WorkLimitError(
+            f"verify's subset LPs on {code.n} nodes need",
+            "matrix entries",
+            VERIFY_ENTRY_LIMIT,
+            entries,
+        )
+
+
 def verify_report(
     code: LinearCode, seed: int = 0, samples: int = 40
 ) -> dict:
@@ -519,7 +565,9 @@ def verify_report(
     failed.  ``samples`` (at least 1) caps how many pairs, triples and random
     subsets are checked; it never affects the exactness of any one check.
     A binary code needs r >= 3 (the laws speak of q^(r-2) and of triples),
-    so a binary r = 2 code raises ValueError before any work.
+    so a binary r = 2 code raises ValueError before any work, and
+    ``check_verify_budget`` raises WorkLimitError before any work when the
+    sampled subset LPs are too large.
     The total service rate is the fractional matching number mu_f of the
     recovery hypergraph: at capacity 1 both are the same packing LP.
     """
@@ -528,6 +576,7 @@ def verify_report(
     q, r, k = code.q, code.r, code.k
     if q == 2 and r < 3:
         raise ValueError(f"verify needs r >= 3 for a binary code, got r = {r}")
+    check_verify_budget(code, samples)
     rng = random.Random(seed)
     systematic = code.systematic_positions is not None
     instance = SrrInstance.for_code(code)
@@ -696,7 +745,7 @@ def verify_report(
             detail,
         )
         bound_ok, checked = True, 0
-        for size in [s for s in range(1, k) for _ in range(2)][:samples]:
+        for size in _uniformized_sizes(k, samples):
             subset = tuple(sorted(rng.sample(range(1, k + 1), size)))
             ceiling = size + 2 - Fraction(size - 1, 2 ** (r - 1) - 1)
             checked += 1

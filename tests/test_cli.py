@@ -322,6 +322,45 @@ def test_verify_rejects_zero_samples(capsys):
     assert "samples must be at least 1" in err
 
 
+def test_verify_over_the_subset_lp_budget_exits_3_before_building(capsys):
+    start = time.perf_counter()
+    rc, out, err = run_cli(
+        capsys, "verify", "-r", "6", "-q", "2", "--systematic", "--samples", "100000"
+    )
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (3, "")
+    # All C(57,2) pairs, all C(57,3) triples and sizes 1, 1, ..., 56, 56 of
+    # the uniformized check; 33 sets per symbol and 63 capacity rows.
+    symbols = 2 * 1596 + 3 * 29260 + 2 * sum(range(1, 57))
+    entries = symbols * 33 * 63
+    assert (
+        f"need {entries} matrix entries, over the limit of {srr.VERIFY_ENTRY_LIMIT}"
+        in err
+    )
+
+
+@pytest.mark.parametrize("token", ["é", "٣", "1_0", "+3", "1.0", "ab", "-1"])
+def test_symbol_token_is_one_ascii_letter_or_ascii_digits(tmp_path, capsys, token):
+    path = gen_file(tmp_path, "gen", "-r", "3", "-q", "2")
+    rc, out, err = run_cli(capsys, "lambda-star", path, f"--symbol={token}")
+    _assert_one_error_line(rc, out, err)
+    assert "bad symbol token" in err
+
+
+def test_non_ascii_letter_is_no_symbol_on_a_long_code():
+    # ord("é") - ord("a") + 1 == 137: Ham(8,2) has k = 247, so the old
+    # letter rule silently picked symbol 137.
+    with pytest.raises(ValueError, match="bad symbol token"):
+        cli._symbol_token("é", 247)
+
+
+@pytest.mark.parametrize("token,symbol", [("a", 1), ("B", 2), (" 2 ", 2), ("04", 4)])
+def test_ascii_symbol_tokens_still_work(tmp_path, capsys, token, symbol):
+    path = gen_file(tmp_path, "gen", "-r", "3", "-q", "2")
+    rc, out, _ = run_cli(capsys, "lambda-star", path, "--symbol", token)
+    assert (rc, json.loads(out)["symbol"]) == (0, symbol)
+
+
 def _assert_one_error_line(rc, out, err):
     assert (rc, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
@@ -419,8 +458,11 @@ EMPTY_SHA = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 # lambda-star-2, max-zeros and subset-ab rows were recorded before lambda*
 # and subset bounds kept only the rewarded symbols' sets; the verify rows of
 # h32 and nonsys were re-recorded when verify stopped comparing the sum-rate
-# LP with mu_f (one check object fewer).  subset is defined for binary
-# systematic codes only, so two of its runs exit 2.
+# LP with mu_f (one check object fewer); the max-nonsys and max-zeros-h33
+# rows were re-recorded when every region LP took the hypergraph's size-first
+# column order: the simplex reaches another optimal vertex of the same value
+# (3 and 9), so only the printed demand and allocation changed.  subset is
+# defined for binary systematic codes only, so two of its runs exit 2.
 @pytest.mark.parametrize(
     "command,name,rc,sha",
     [
@@ -437,7 +479,7 @@ EMPTY_SHA = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
         ("stats", "h33", 0, "f3a1c3f107b3fc53454c5ebaa2266e131f29d0f2a8e47d9c1ecf0d280bae7f8c"),
         ("verify", "h33", 0, "6baf7cd97d1b55d6b06da40f0a2d135ad34b8982de74571b42d30f88e006ba23"),
         ("check", "nonsys", 0, "98887c518f98022e3462d8e32e9039e3ad5ee45f741ec4480c4fc1de45bb9e6c"),
-        ("max", "nonsys", 0, "87f99cfa120800b81f96b578c29b6f00f0320c84868a9dd3311b0c3f38b4d050"),
+        ("max", "nonsys", 0, "b404d9fd925d4ae4c2df7561f8b8ffa5c7726bda488594ac62166c14468a15bd"),
         ("lambda-star", "nonsys", 0, "ca3d4efd4190a7c25063908b3628b4f3451cedf487dba14cadb8340a0e7e4e87"),
         ("subset", "nonsys", 2, EMPTY_SHA),
         ("stats", "nonsys", 0, "d0d082fe1b2abdcbb663678dd00472b81a0fede26dcd78a96ca0442a15438827"),
@@ -448,7 +490,7 @@ EMPTY_SHA = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
         ("subset-ab", "h32", 0, "2e5a5ba0eaa02f26eb4946ccce2e5473338d6ee5be666fec5c7917488fe6c908"),
         ("delta", "h33", 0, "a44e2ca18115bfe57bdba7aee80b47896f2d29279ac0c26dbf0c15948cb281d0"),
         ("lambda-star-2", "h33", 0, "e0bc8c659c7ca3fb295cd7e298a51b6dc31c3ebb2c07d9db6539700bfeadaa72"),
-        ("max-zeros", "h33", 0, "acfbf09170d2edd0443042e5649f4159d14d548dbcacce03936d02e98c403f15"),
+        ("max-zeros", "h33", 0, "051a9c3e2eb8766500c8a9a328e0ad23dd088a05effc4df64fb54531131f5ef5"),
         ("delta", "nonsys", 0, "07b557421a1bf7fd467dea8e2d1781ef038454b2c0758f0db41864ee0c163d2e"),
         ("lambda-star-2", "nonsys", 0, "bb219fb436fa1434c7740125eb93032f02d3625314a52cbf2065b0da519a3dea"),
         ("max-zeros", "nonsys", 0, "fa34f4035ed4957bb9e4bc338103e2200346a99b790147e233852a7299f4780e"),

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from srrham import codes, srr
+from srrham import codes, lp, srr
 from srrham import hypergraph as hg
 from srrham.fields import FieldMatrix
 
-from oracles import equivalent_generator, node_loads, phase1_membership
+from oracles import (
+    LE, GeneralLp, dense_solve, equivalent_generator, node_loads, phase1_membership,
+)
 
 F = Fraction
 
@@ -299,15 +301,92 @@ def test_delta_values(classic32_instance, sys42_instance, nonsys_instance):
 
 
 @pytest.mark.parametrize(
-    "code", ["classic32", "sys42", "sys33", "nonsys", "gprime"]
+    "code", ["classic32", "sys42", "sys33", "nonsys", "gprime", "sys32", "sys52"]
 )
 def test_max_equals_fractional_matching(request, code):
     # verify_report reads the sum-rate from mu_f alone; this is the check
-    # that the two routes to it agree.
+    # that the two routes to it agree.  Both list their columns in the one
+    # canonical order, so at capacity 1 they are the same LP and must reach
+    # the same vertex, not only the same value.
     instance = srr.SrrInstance.for_code(request.getfixturevalue(code))
-    total, _, _ = srr.max_objective(instance, [1] * instance.code.k)
-    mu_f, _ = hg.fractional_matching_number(hg.from_recovery_system(instance.system))
+    total, _, allocation = srr.max_objective(instance, [1] * instance.code.k)
+    mu_f, witness = hg.fractional_matching_number(
+        hg.from_recovery_system(instance.system)
+    )
     assert total == mu_f
+    assert allocation.weights == {e: w for e, w in witness.items() if w}
+
+
+def test_sum_rate_pivots_in_the_size_first_order(sys52_instance, monkeypatch):
+    # Systematic Ham(5,2) sum-rate took 106 pivots with symbol-major columns.
+    pivots = []
+    optimize = lp._Tableau.optimize
+
+    def counted(self):
+        status = optimize(self)
+        pivots.append(self.pivots)
+        return status
+
+    monkeypatch.setattr(lp._Tableau, "optimize", counted)
+    value, _, _ = srr.max_objective(sys52_instance, [1] * 26)
+    assert (value, pivots) == (26, [26])
+
+
+def _dense_region_value(instance, weights, demand=None):
+    """The optimum of ``srr._region_lp``'s LP, built here from the instance's
+    columns and solved by the two-phase dense reference simplex."""
+    columns = instance.variables()
+    rows = [
+        ([1 if j == i else 0 for j, _ in columns], LE, d)
+        for i, d in enumerate(demand or (), start=1)
+    ]
+    rows += [
+        ([1 if v in members else 0 for _, members in columns], LE, instance.capacity)
+        for v in range(1, instance.code.n + 1)
+    ]
+    status, value, _ = dense_solve(
+        GeneralLp.of([weights[i - 1] for i, _ in columns], rows)
+    )
+    assert status == lp.OPTIMAL
+    return value
+
+
+@pytest.fixture(scope="module")
+def order_instances(classic32_instance, sys32_instance, sys42_instance,
+                    sys52_instance, sys33_instance):
+    rng = random.Random(5)
+    scrambled = [
+        srr.SrrInstance.for_code(
+            codes.import_generator(
+                equivalent_generator(codes.systematic_hamming(3, 2).generator, rng)
+                .to_lists(),
+                2,
+            )
+        )
+        for _ in range(2)
+    ]
+    return [classic32_instance, sys32_instance, sys42_instance, sys52_instance,
+            sys33_instance, *scrambled]
+
+
+@settings(
+    deadline=None, max_examples=30, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(data=st.data())
+def test_size_first_lps_match_the_dense_reference(order_instances, data):
+    instance = data.draw(st.sampled_from(order_instances))
+    k = instance.code.k
+    weights = data.draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+    if not any(weights):
+        weights[0] = 1
+    demand = data.draw(
+        st.lists(st.fractions(0, 3, max_denominator=4), min_size=k, max_size=k)
+    )
+    event(f"k={k}")
+    value, _, _ = srr.max_objective(instance, weights)
+    assert value == _dense_region_value(instance, weights)
+    served, _ = srr.max_served(instance, demand)
+    assert served == _dense_region_value(instance, [1] * k, demand)
 
 
 def test_subset_bound_classic_examples(classic32_instance):
@@ -523,3 +602,17 @@ def test_verify_report_ternary_skips_binary_laws(sys33):
     report = srr.verify_report(sys33)
     assert report["all_pass"] is True
     assert any("binary" in s for s in report["skipped"])
+
+
+@pytest.mark.parametrize("r", range(3, 9))
+def test_default_verify_samples_fit_the_subset_lp_budget(r):
+    for build in (codes.systematic_hamming, codes.classic_hamming):
+        srr.check_verify_budget(build(r, 2), 40)
+
+
+def test_verify_subset_lp_budget_stops_r9_and_skips_the_unsampled_codes(nonsys):
+    with pytest.raises(srr.WorkLimitError, match="511 nodes need 81422740 matrix"):
+        srr.check_verify_budget(codes.systematic_hamming(9, 2), 40)
+    # Ternary and non-systematic codes sample no subset LPs.
+    srr.check_verify_budget(codes.systematic_hamming(4, 3), 10 ** 9)
+    srr.check_verify_budget(nonsys, 10 ** 9)
