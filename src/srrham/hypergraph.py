@@ -168,6 +168,18 @@ def _greedy_cover(edge_masks: list[int], members: list[tuple[int, ...]]) -> list
     return cover
 
 
+def _greedy_matching(masks: list[int], order: Iterable[int]) -> list[int]:
+    """Indices of a greedy matching: each edge in ``order`` that meets none
+    taken before it.  Any matching bounds any transversal from below."""
+    taken = []
+    used = 0
+    for i in order:
+        if not masks[i] & used:
+            taken.append(i)
+            used |= masks[i]
+    return taken
+
+
 def matching_number(h: Hypergraph) -> tuple[int, tuple[Edge, ...]]:
     """Exact maximum number of pairwise-disjoint edges, with a witness."""
     edges = h.edges
@@ -175,12 +187,7 @@ def matching_number(h: Hypergraph) -> tuple[int, tuple[Edge, ...]]:
     masks = [_mask(m) for m in members]
     n_edges = len(edges)
 
-    best_idx: list[int] = []
-    used = 0
-    for i in range(n_edges):
-        if not masks[i] & used:
-            best_idx.append(i)
-            used |= masks[i]
+    best_idx = _greedy_matching(masks, range(n_edges))
     best = len(best_idx)
 
     def dfs(cands: list[int], chosen: list[int]) -> None:
@@ -217,15 +224,6 @@ def transversal_number(h: Hypergraph) -> tuple[int, tuple[int, ...]]:
     best = len(cover)
     best_cover = sorted(cover)
 
-    def packing_lb(cands: list[int]) -> int:
-        used = 0
-        count = 0
-        for i in cands:
-            if not masks[i] & used:
-                used |= masks[i]
-                count += 1
-        return count
-
     def dfs(uncovered: list[int], chosen: list[int]) -> None:
         nonlocal best, best_cover
         if not uncovered:
@@ -233,7 +231,7 @@ def transversal_number(h: Hypergraph) -> tuple[int, tuple[int, ...]]:
                 best = len(chosen)
                 best_cover = sorted(chosen)
             return
-        if len(chosen) + packing_lb(uncovered) >= best:
+        if len(chosen) + len(_greedy_matching(masks, uncovered)) >= best:
             return
         branch = min(uncovered, key=lambda i: (len(members[i]), members[i]))
         for v in members[branch]:

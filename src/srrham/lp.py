@@ -4,15 +4,17 @@ Every LP here has one shape: maximize c . x subject to A x <= b, x >= 0,
 with b >= 0 (a packing LP, and the only shape any region query builds).  So
 the slack basis is feasible from the start: there is no phase 1, no
 artificial column and no equality or >= row, and a negative right-hand side
-is rejected when the problem is built.  Coefficients and objective may be
-any rationals.  Everything is computed exactly: no tolerances anywhere, an
-optimal solution satisfies every constraint exactly.  Pivoting follows
-Bland's rule (lowest eligible index, ratio ties broken by lowest basis
-variable index), which guarantees termination and makes returned vertices
-reproducible; a pivot ceiling turns pathological inputs into a diagnosable
-error instead of a hang.  The ceiling is read here and nowhere else: each
-tableau takes it from ``SRRHAM_PIVOT_LIMIT`` when that is set, and uses
-``DEFAULT_PIVOT_LIMIT`` otherwise.
+is rejected when the problem is built.  ``solve`` returns the optimum and
+its vertex; an unbounded LP raises InvariantError (exit 4), as no region LP
+is one.  Coefficients and objective may be any rationals.  Everything is
+computed exactly: no tolerances anywhere, an optimal solution satisfies
+every constraint exactly.  Pivoting follows Bland's rule (lowest eligible
+index, ratio ties broken by lowest basis variable index), which guarantees
+termination and makes returned vertices reproducible; a pivot ceiling turns
+pathological inputs into a diagnosable error instead of a hang.  The
+ceiling is read here and nowhere else: each tableau takes it from
+``SRRHAM_PIVOT_LIMIT`` when that is set, and uses ``DEFAULT_PIVOT_LIMIT``
+otherwise.
 
 Internally the simplex is revised (Dantzig and Orchard-Hays, 1954) and
 fraction-free (Bareiss, 1968).  The scaled integer constraint matrix M, with
@@ -41,12 +43,9 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvariantError, PivotLimitError
-
-OPTIMAL = "optimal"
-UNBOUNDED = "unbounded"
 
 DEFAULT_PIVOT_LIMIT = 10 ** 6
 PIVOT_LIMIT_ENV = "SRRHAM_PIVOT_LIMIT"
@@ -94,13 +93,6 @@ class LpProblem:
             for coeffs, rhs in constraints
         )
         return cls(len(obj), obj, rows)
-
-
-@dataclass(frozen=True)
-class LpOutcome:
-    status: str
-    value: Optional[Fraction] = None
-    solution: Optional[tuple[Fraction, ...]] = None
 
 
 def _resolve_pivot_limit() -> int:
@@ -185,12 +177,6 @@ class _Tableau:
         self._update(y, prow, zc, p, d)
         self.basis[r] = c
         self.den = p
-        if p < 0:
-            # Keep the shared denominator positive (true values unchanged).
-            self.den = -p
-            for row in inverse:
-                row[:] = [-v for v in row]
-            y[:] = [-v for v in y]
 
     @staticmethod
     def _update(row: list[int], prow: list[int], f: int, p: int, d: int) -> None:
@@ -217,9 +203,10 @@ class _Tableau:
                     new.append(q)
                 row[:] = new
 
-    def optimize(self) -> str:
+    def optimize(self) -> None:
         """Pivot by Bland's rule from the slack basis, whose prices y are 0,
-        until no column has a negative reduced cost y . M_j - den * cost[j]."""
+        until no column has a negative reduced cost y . M_j - den * cost[j].
+        The pivot element is positive, so den stays positive."""
         columns = self.columns
         inverse = self.inverse
         basis = self.basis
@@ -237,7 +224,7 @@ class _Tableau:
                     enter = j
                     break
             if enter < 0:
-                return OPTIMAL
+                return
             column = self._column(enter)
             leave = -1
             best_rhs = best_a = 0
@@ -254,7 +241,7 @@ class _Tableau:
                     ):
                         leave, best_rhs, best_a = i, rhs, a
             if leave < 0:
-                return UNBOUNDED
+                raise InvariantError(f"packing LP ended unbounded in column {enter}")
             if self.pivots >= self.pivot_limit:
                 raise PivotLimitError(
                     f"simplex exceeded the pivot ceiling of {self.pivot_limit} "
@@ -277,14 +264,12 @@ class _Tableau:
         return tuple(x)
 
 
-def solve(problem: LpProblem) -> LpOutcome:
-    """Maximize the objective; the exact optimum, or an unbounded status."""
+def solve(problem: LpProblem) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Maximize the objective: the exact optimum and its vertex."""
     tab = _Tableau(problem)
-    if tab.optimize() == UNBOUNDED:
-        return LpOutcome(UNBOUNDED)
+    tab.optimize()
     x = tab.solution()
-    value = sum((c * v for c, v in zip(problem.objective, x)), _ZERO)
-    return LpOutcome(OPTIMAL, value, x)
+    return sum((c * v for c, v in zip(problem.objective, x)), _ZERO), x
 
 
 def max_packing(
@@ -304,10 +289,7 @@ def max_packing(
             dense[r][j] = 1
     problem = LpProblem.maximize(weights, zip(dense, rhs))
     del dense  # the problem holds its own rows; free these before solving
-    outcome = solve(problem)
-    if outcome.status != OPTIMAL:
-        raise InvariantError(f"packing LP ended {outcome.status}")
-    return outcome.value, outcome.solution
+    return solve(problem)
 
 
 def check_feasible(problem: LpProblem) -> tuple[bool, tuple[Fraction, ...]]:

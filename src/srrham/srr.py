@@ -37,7 +37,6 @@ raises ``lp.InvariantError``, since that is a bug and not bad input.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -514,14 +513,29 @@ def m3_brute(r: int) -> int:
     return count // 3
 
 
+def _combination(k: int, size: int, rank: int) -> tuple[int, ...]:
+    """Subset number ``rank`` (from 0) of the ``size``-subsets of 1..k, in
+    lexicographic (``itertools.combinations``) order."""
+    subset, v = [], 1
+    for left in range(size, 0, -1):
+        # C(k - v, left - 1) subsets take v next.
+        while rank >= (block := math.comb(k - v, left - 1)):
+            rank, v = rank - block, v + 1
+        subset.append(v)
+        v += 1
+    return tuple(subset)
+
+
 def _tight_on_sample(
     instance: SrrInstance, size: int, samples: int, rng: random.Random
 ) -> tuple[int, bool]:
-    """Check the subset bound of at most ``samples`` random ``size``-subsets;
-    returns how many were checked and whether every one was tight."""
-    subsets = list(itertools.combinations(range(1, instance.code.k + 1), size))
-    if len(subsets) > samples:
-        subsets = rng.sample(subsets, samples)
+    """Check the subset bound of at most ``samples`` random ``size``-subsets,
+    drawn by rank; returns how many were checked and whether every one was
+    tight."""
+    k = instance.code.k
+    total = math.comb(k, size)
+    ranks = range(total) if total <= samples else rng.sample(range(total), samples)
+    subsets = [_combination(k, size, i) for i in ranks]
     return len(subsets), all(subset_bound(instance, s).tight for s in subsets)
 
 

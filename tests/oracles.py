@@ -22,9 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from srrham import lp
-from srrham.lp import (
-    OPTIMAL, UNBOUNDED, InvariantError, PivotLimitError, _resolve_pivot_limit,
-)
+from srrham.lp import InvariantError, PivotLimitError, _resolve_pivot_limit
 from srrham.codes import LinearCode
 from srrham.fields import FieldMatrix
 
@@ -33,6 +31,9 @@ ORACLE_MAX_LENGTH = 15
 LE = "<="
 EQ = "=="
 GE = ">="
+# DenseTableau's statuses; the package's solver returns the optimum or raises.
+OPTIMAL = "optimal"
+UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
 
 _ZERO = Fraction(0)

@@ -153,6 +153,7 @@ def test_import_rejects_a_parity_check_that_does_not_match(tmp_path, capsys, cor
 _HUGE_PRIME = "1000000000000000003"
 _FLOAT_ENTRY = [[1.0] + NONSYS_G[0][1:]] + NONSYS_G[1:]
 _STRING_ENTRY = [["1"] + NONSYS_G[0][1:]] + NONSYS_G[1:]
+_RAGGED = [[1, 0, 1], [0, 1]]
 
 
 @pytest.mark.parametrize("command", ["import", "check"])
@@ -167,9 +168,10 @@ _STRING_ENTRY = [["1"] + NONSYS_G[0][1:]] + NONSYS_G[1:]
         None,
         {"q": int(_HUGE_PRIME), "generator": [[1, 0, 1], [0, 1, 1]]},
         {"q": 0, "generator": NONSYS_G},
+        {"q": 2, "generator": _RAGGED},
     ],
     ids=["float-q", "string-q", "float-entry", "string-entry", "number", "null",
-         "huge-q", "zero-q"],
+         "huge-q", "zero-q", "ragged"],
 )
 def test_malformed_code_document_exits_2(tmp_path, capsys, command, document):
     # A code document is read as written: no float or string is coerced.  A
@@ -209,11 +211,50 @@ def test_unreduced_matrix_entry_exits_2(tmp_path, capsys, key, r, q, old, new):
     )
 
 
-@pytest.mark.parametrize("q", ["1", "0", "4"])
+@pytest.mark.parametrize("q", ["1", "0", "4", "9"])
 def test_gen_rejects_a_q_that_is_not_prime(capsys, q):
     rc, out, err = run_cli(capsys, "gen", "-r", "3", "-q", q)
     _assert_one_error_line(rc, out, err)
     assert f"q must be prime, got {q}" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["check", "{path}", "--demand", "1,1,1,1", "--capacity", "0"],
+         "capacity must be positive"),
+        (["max", "{path}", "--weights", "1,1"], "weights length 2 != k = 4"),
+        (["lambda-star", "{path}", "--symbol", "9"], "symbol '9' out of range 1..4"),
+        (["verify"], "verify needs either --code FILE or -r and -q"),
+        (["slice", "{path}", "--axes", "a,a", "--max", "1", "--step", "1"],
+         "axes must be distinct"),
+        (["slice", "{path}", "--axes", "a,b", "--fix", "c1", "--max", "1", "--step", "1"],
+         "bad --fix assignment 'c1'"),
+        (["slice", "{path}", "--axes", "a,b", "--fix", "a=1", "--max", "1", "--step", "1"],
+         "symbols [1] both axis and fixed"),
+        (["slice", "{path}", "--axes", "a,b", "--max", "1", "--step", "0"],
+         "--step must be positive and --max nonnegative"),
+        (["import", "{ragged}"], "ragged matrix"),
+        (["import", "{repeated}"], "dual dimension mismatch"),
+    ],
+    ids=["capacity-0", "weights-length", "symbol-range", "verify-no-code",
+         "slice-same-axes", "slice-bad-fix", "slice-axis-fixed", "slice-step-0",
+         "import-ragged", "import-repeated-h-row"],
+)
+def test_input_error_exits_2_with_its_message(tmp_path, capsys, argv, message):
+    path = gen_file(tmp_path, "gen", "-r", "3", "-q", "2")
+    ragged = tmp_path / "ragged.json"
+    ragged.write_text(json.dumps({"q": 2, "generator": _RAGGED}))
+    # H with a row repeated keeps rank r, so only its row count is wrong.
+    data = json.loads(open(path).read())
+    data["parity_check"].append(data["parity_check"][0])
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text(json.dumps(data))
+    rc, out, err = run_cli(
+        capsys, *[a.format(path=path, ragged=ragged, repeated=repeated) for a in argv]
+    )
+    _assert_one_error_line(rc, out, err)
+    assert message in err
 
 
 def test_recovery_command(tmp_path, capsys):
@@ -783,7 +824,11 @@ def _corrupt_den_after_pivot(monkeypatch):
 
 
 def _unbounded_solve(monkeypatch):
-    monkeypatch.setattr(lp, "solve", lambda *a, **kw: lp.LpOutcome(lp.UNBOUNDED))
+    # An entering column with no positive entry: the ratio test finds no row.
+    column = lp._Tableau._column
+    monkeypatch.setattr(
+        lp._Tableau, "_column", lambda self, j: [-abs(v) for v in column(self, j)]
+    )
 
 
 def _overstated_packing(monkeypatch):

@@ -69,6 +69,18 @@ def test_matching_single_edge():
     assert hg.matching_number(graph)[0] == 1
 
 
+def test_search_improves_on_the_greedy_matching():
+    # The greedy scan takes (1, 2) first and then no other edge fits; only
+    # the branch and bound finds the two disjoint edges.
+    graph = hg.Hypergraph(4, ((1, (1, 2)), (2, (1, 3)), (3, (2, 4))))
+    masks = [hg._mask(m) for _, m in graph.edges]
+    assert hg._greedy_matching(masks, range(3)) == [0]
+    assert hg.matching_number(graph) == (2, ((2, (1, 3)), (3, (2, 4))))
+    assert hg.transversal_number(graph) == (2, (1, 2))
+    stats = hg.compute_stats(graph)
+    assert (stats.nu, stats.tau, stats.mu_f) == (2, 2, 2)
+
+
 def test_transversal_worked_values(classic32_graph, nonsys_graph, sys42_graph):
     def check_transversal(graph, vertices, tau):
         prices = [vertices.count(v) for v in range(1, graph.vertex_count + 1)]

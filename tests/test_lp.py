@@ -12,8 +12,8 @@ from srrham import recovery, codes
 
 from conftest import NONSYS_G
 from oracles import (
-    EQ, GE, INFEASIBLE, LE, DenseTableau, GeneralLp, bland_packing, dense_solve,
-    evaluate_constraints,
+    EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, DenseTableau, GeneralLp,
+    bland_packing, dense_solve, evaluate_constraints,
 )
 
 
@@ -68,23 +68,22 @@ def brute_lp_max(problem: GeneralLp):
 # ---------------------------------------------------------------------------
 
 def test_single_bound():
-    out = lp.solve(lp.LpProblem.maximize([1], [([1], 3)]))
-    assert out.status == lp.OPTIMAL
-    assert out.value == 3
-    assert out.solution == (Fraction(3),)
+    value, point = lp.solve(lp.LpProblem.maximize([1], [([1], 3)]))
+    assert value == 3
+    assert point == (Fraction(3),)
 
 
 def test_box_with_diagonal_cut():
-    out = lp.solve(
+    value, _ = lp.solve(
         lp.LpProblem.maximize([1, 1], [([1, 1], 1), ([1, 0], 1), ([0, 1], 1)])
     )
-    assert out.value == 1
+    assert value == 1
 
 
 def test_equality_constraint():
     problem = GeneralLp.of([1, 0], [([1, 1], EQ, 1)])
     status, value, point = dense_solve(problem)
-    assert status == lp.OPTIMAL
+    assert status == OPTIMAL
     assert value == 1
     assert evaluate_constraints(problem, point)
 
@@ -106,14 +105,15 @@ def test_feasible_point_returned():
 
 
 def test_unbounded():
-    out = lp.solve(lp.LpProblem.maximize([1, 1], [([1, -1], 1)]))
-    assert out.status == lp.UNBOUNDED
+    # No packing LP is unbounded, so an unbounded finish is an internal error.
+    with pytest.raises(lp.InvariantError, match="packing LP ended unbounded in column 1"):
+        lp.solve(lp.LpProblem.maximize([1, 1], [([1, -1], 1)]))
 
 
 def test_negative_rhs_normalization():
     # x >= 2 written as -x <= -2, maximize -x  =>  x = 2.
     status, _, point = dense_solve(GeneralLp.of([-1], [([-1], LE, -2)]))
-    assert status == lp.OPTIMAL
+    assert status == OPTIMAL
     assert point == (Fraction(2),)
 
 
@@ -121,7 +121,7 @@ def test_maximize_rejects_a_negative_rhs():
     with pytest.raises(ValueError, match="negative right-hand side -1/2"):
         lp.LpProblem.maximize([1], [([1], 1), ([-1], Fraction(-1, 2))])
     # Zero is the smallest right-hand side the slack basis admits.
-    assert lp.solve(lp.LpProblem.maximize([1], [([1], 0)])).value == 0
+    assert lp.solve(lp.LpProblem.maximize([1], [([1], 0)]))[0] == 0
 
 
 def test_ge_constraint():
@@ -142,18 +142,17 @@ def test_classic_degenerate_cycling_instance_terminates(monkeypatch):
             ([0, 0, 1, 0], 1),
         ],
     )
-    out = lp.solve(problem)
-    assert out.status == lp.OPTIMAL
+    value, point = lp.solve(problem)
     general = GeneralLp.from_problem(problem)
-    assert out.value == brute_lp_max(general)
-    assert evaluate_constraints(general, out.solution)
+    assert value == brute_lp_max(general)
+    assert evaluate_constraints(general, point)
 
 
 def test_pivot_limit_is_enforced(monkeypatch):
     # One pivot solves this LP: a ceiling of 1 allows it, and 0 does not.
     problem = lp.LpProblem.maximize([1, 1], [([1, 1], 1)])
     monkeypatch.setenv(lp.PIVOT_LIMIT_ENV, "1")
-    assert lp.solve(problem).value == 1
+    assert lp.solve(problem)[0] == 1
     monkeypatch.setenv(lp.PIVOT_LIMIT_ENV, "0")
     with pytest.raises(lp.PivotLimitError):
         lp.solve(problem)
@@ -204,10 +203,9 @@ def test_random_lps_match_vertex_enumeration_oracle():
         objective = [rng.randrange(-4, 5) for _ in range(n)]
         problem = lp.LpProblem.maximize(objective, rows)
         general = GeneralLp.from_problem(problem)
-        out = lp.solve(problem)
-        assert out.status == lp.OPTIMAL
-        assert out.value == brute_lp_max(general)
-        assert evaluate_constraints(general, out.solution)
+        value, point = lp.solve(problem)
+        assert value == brute_lp_max(general)
+        assert evaluate_constraints(general, point)
 
 
 def test_dense_reference_matches_vertex_enumeration_oracle():
@@ -229,7 +227,7 @@ def test_dense_reference_matches_vertex_enumeration_oracle():
         if expected is None:
             assert status == INFEASIBLE
         else:
-            assert status == lp.OPTIMAL
+            assert status == OPTIMAL
             assert value == expected
             assert evaluate_constraints(problem, point)
             solved += 1
@@ -250,9 +248,8 @@ def test_redundant_constraints_keep_known_optimum():
             slacked = sum(bounds[i] for i in subset) + rng.randrange(0, 3)
             rows.append((coeffs, slacked))
         problem = lp.LpProblem.maximize(weights, rows)
-        out = lp.solve(problem)
-        assert out.status == lp.OPTIMAL
-        assert out.value == sum(w * b for w, b in zip(weights, bounds))
+        value, _ = lp.solve(problem)
+        assert value == sum(w * b for w, b in zip(weights, bounds))
 
 
 def test_determinism_same_vertex():
@@ -320,7 +317,7 @@ def _final_tableau(columns, rhs, weights) -> lp._Tableau:
         for r in rows:
             dense[r][j] = 1
     tab = lp._Tableau(lp.LpProblem.maximize(weights, zip(dense, rhs)))
-    assert tab.optimize() == lp.OPTIMAL
+    tab.optimize()
     return tab
 
 
@@ -390,5 +387,10 @@ def test_revised_tableau_pivots_like_the_dense_reference(problem):
     # The slack basis is feasible, so the reference's phase 1 does nothing.
     assert dense.phase1() and dense.pivots == 0
     assert _tableau_state(revised) == _tableau_state(dense)
-    assert revised.optimize() == dense.phase2(problem.objective)
+    if dense.phase2(problem.objective) == UNBOUNDED:
+        # Both stop at the same column, before pivoting on it.
+        with pytest.raises(lp.InvariantError, match="packing LP ended unbounded"):
+            revised.optimize()
+    else:
+        revised.optimize()
     assert _tableau_state(revised) == _tableau_state(dense)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -11,7 +12,8 @@ from srrham import hypergraph as hg
 from srrham.fields import FieldMatrix
 
 from oracles import (
-    LE, GeneralLp, dense_solve, equivalent_generator, node_loads, phase1_membership,
+    LE, OPTIMAL, GeneralLp, dense_solve, equivalent_generator, node_loads,
+    phase1_membership,
 )
 
 F = Fraction
@@ -323,9 +325,8 @@ def test_sum_rate_pivots_in_the_size_first_order(sys52_instance, monkeypatch):
     optimize = lp._Tableau.optimize
 
     def counted(self):
-        status = optimize(self)
+        optimize(self)
         pivots.append(self.pivots)
-        return status
 
     monkeypatch.setattr(lp._Tableau, "optimize", counted)
     value, _, _ = srr.max_objective(sys52_instance, [1] * 26)
@@ -347,7 +348,7 @@ def _dense_region_value(instance, weights, demand=None):
     status, value, _ = dense_solve(
         GeneralLp.of([weights[i - 1] for i, _ in columns], rows)
     )
-    assert status == lp.OPTIMAL
+    assert status == OPTIMAL
     return value
 
 
@@ -602,6 +603,32 @@ def test_verify_report_ternary_skips_binary_laws(sys33):
     report = srr.verify_report(sys33)
     assert report["all_pass"] is True
     assert any("binary" in s for s in report["skipped"])
+
+
+@pytest.mark.parametrize("k", range(12))
+def test_combination_rank_follows_itertools_order(k):
+    for size in range(k + 1):
+        expected = list(itertools.combinations(range(1, k + 1), size))
+        assert [srr._combination(k, size, i) for i in range(len(expected))] == expected
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_tight_on_sample_draws_ranks_not_the_subset_list(sys42_instance, monkeypatch, size):
+    # Sampling the full list picks the same subsets and leaves the same rng.
+    listed = random.Random(7)
+    expected = listed.sample(list(itertools.combinations(range(1, 12), size)), 5)
+    seen = []
+    bound = srr.subset_bound
+    monkeypatch.setattr(srr, "subset_bound", lambda inst, s: seen.append(s) or bound(inst, s))
+
+    def no_list(*args):
+        raise AssertionError("the subset list was built")
+
+    monkeypatch.setattr(itertools, "combinations", no_list)
+    ranked = random.Random(7)
+    assert srr._tight_on_sample(sys42_instance, size, 5, ranked) == (5, True)
+    assert seen == expected
+    assert ranked.getstate() == listed.getstate()
 
 
 @pytest.mark.parametrize("r", range(3, 9))
