@@ -117,7 +117,7 @@ def _cmd_stats(args) -> dict:
     code = _load_code(args.code)
     system = recovery.build_recovery_system(code)
     graph = hg.from_recovery_system(system)
-    if args.symbols:
+    if args.symbols is not None:
         graph = hg.partial_hypergraph(graph, _symbols_arg(args.symbols, code.k))
     return hg.compute_stats(graph).to_json_dict()
 
@@ -150,7 +150,7 @@ def _cmd_lambda_star(args) -> dict:
     from .fields import format_rational
 
     instance = _load_instance(args)
-    if args.symbol:
+    if args.symbol is not None:
         i = _symbol_token(args.symbol, instance.code.k)
         value = srr.lambda_star(instance, i)
         return {"symbol": i, "value": format_rational(value)}
@@ -214,6 +214,7 @@ def _cmd_slice(args) -> str:
     from fractions import Fraction
 
     from . import srr
+    from .errors import WorkLimitError
     from .fields import format_rational, parse_rational
 
     instance = _load_instance(args)
@@ -238,7 +239,7 @@ def _cmd_slice(args) -> str:
     count = maximum // step + 1
     points = count ** len(axes)
     if points > srr.SLICE_POINT_LIMIT:
-        raise srr.WorkLimitError(
+        raise WorkLimitError(
             "slice needs", "membership LPs", srr.SLICE_POINT_LIMIT, points
         )
     ticks = [step * t for t in range(count)]

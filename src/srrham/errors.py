@@ -1,8 +1,8 @@
 """The errors the CLI maps to exit codes 3 and 4.
 
 They live here, with only the standard library behind them, so that a
-command can catch them without importing the solver: ``lp``, ``codes`` and
-``srr`` raise them and re-export them under their old names.
+command can catch them without importing the solver.  ``lp``, ``codes``,
+``srr`` and ``hypergraph`` import from here each error they raise.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Container, Iterable, Mapping, Optional, Sequence
 
 from . import lp
+from .errors import InvariantError
 from .fields import format_rational
 from .recovery import RecoverySet, RecoverySystem
 
@@ -298,7 +299,7 @@ def compute_stats(h: Hypergraph) -> HypergraphStats:
         try:
             check(*args)
         except ValueError as exc:
-            raise lp.InvariantError(f"{name} witness failed validation: {exc}") from exc
+            raise InvariantError(f"{name} witness failed validation: {exc}") from exc
     if not nu <= mu_f <= tau:
-        raise lp.InvariantError(f"sandwich violated: {nu} <= {mu_f} <= {tau}")
+        raise InvariantError(f"sandwich violated: {nu} <= {mu_f} <= {tau}")
     return HypergraphStats(nu, tau, mu_f, matching, transversal, weights)

@@ -32,7 +32,7 @@ Symbols without a unit column keep the restricted LP.
 
 Every allocation produced here is validated once by direct arithmetic,
 independently of the solver that produced it; a witness that fails its check
-raises ``lp.InvariantError``, since that is a bug and not bad input.
+raises ``errors.InvariantError``, since that is a bug and not bad input.
 """
 
 from __future__ import annotations
@@ -45,13 +45,8 @@ from typing import Collection, Iterable, Optional, Sequence
 
 from . import hypergraph as hg
 from . import lp
-from .codes import (  # re-exports CODE_ENTRY_LIMIT and check_code_entries
-    CODE_ENTRY_LIMIT,
-    LinearCode,
-    check_code_entries,
-    odd_weight_column_count,
-)
-from .errors import SHOWN_BITS, EventLimitError, WorkLimitError
+from .codes import LinearCode, odd_weight_column_count
+from .errors import SHOWN_BITS, EventLimitError, InvariantError, WorkLimitError
 from .fields import exact_rational, format_rational
 from .recovery import RecoverySystem, build_recovery_system, structure_report
 
@@ -162,7 +157,7 @@ def _certify(allocation: Allocation, instance: SrrInstance, *args, **kwargs) -> 
     try:
         allocation.validate(instance, *args, **kwargs)
     except ValueError as exc:
-        raise lp.InvariantError(f"witness failed validation: {exc}") from exc
+        raise InvariantError(f"witness failed validation: {exc}") from exc
 
 
 def _region_lp(
@@ -263,7 +258,7 @@ def _unit_column_star(instance: SrrInstance, i: int, s: int) -> Fraction:
     try:
         hg.check_cover(prices, ((i, m) for m in sets), mu, value, weights)
     except ValueError as exc:
-        raise lp.InvariantError(f"node prices failed validation: {exc}") from exc
+        raise InvariantError(f"node prices failed validation: {exc}") from exc
     return value
 
 
@@ -476,7 +471,7 @@ def m3_closed_form(r: int) -> int:
     k = 2 ** r - 1 - r
     numerator = math.comb(k, 2) - r * 2 ** (r - 1) + r * r
     if numerator % 3:
-        raise lp.InvariantError(f"non-integer triple count at r={r}")
+        raise InvariantError(f"non-integer triple count at r={r}")
     return numerator // 3
 
 
@@ -509,7 +504,7 @@ def m3_brute(r: int) -> int:
             if (heavy[a_idx] ^ heavy[b_idx]).bit_count() >= 2:
                 count += 1
     if count % 3:
-        raise lp.InvariantError(f"pair count {count} not divisible by 3")
+        raise InvariantError(f"pair count {count} not divisible by 3")
     return count // 3
 
 

@@ -42,6 +42,15 @@ GPRIME = [
     [1, 1, 0, 0, 0, 0, 1],
 ]
 
+# A [7,4] generator with the weight-1 codeword e_1: every parity check of it
+# is 0 at position 1, so it is no Hamming code.
+ZERO_COLUMN_G = [
+    [1, 0, 0, 0, 0, 0, 0],
+    [0, 1, 0, 0, 1, 1, 0],
+    [0, 0, 1, 0, 1, 0, 1],
+    [0, 0, 0, 1, 0, 1, 1],
+]
+
 # Recovery systems of the classic [7,4,3] code, exactly as enumerated by hand.
 CLASSIC_RECOVERY = {
     1: {(3,), (1, 5, 7), (2, 6, 7), (2, 4, 5), (1, 4, 6)},

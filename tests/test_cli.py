@@ -9,7 +9,7 @@ import pytest
 from srrham import cli, codes, lp, srr
 from srrham import hypergraph as hg
 
-from conftest import NONSYS_G
+from conftest import NONSYS_G, ZERO_COLUMN_G
 
 
 def run_cli(capsys, *argv):
@@ -211,7 +211,7 @@ def test_unreduced_matrix_entry_exits_2(tmp_path, capsys, key, r, q, old, new):
     )
 
 
-@pytest.mark.parametrize("q", ["1", "0", "4", "9"])
+@pytest.mark.parametrize("q", ["1", "0", "4", "9", "25"])
 def test_gen_rejects_a_q_that_is_not_prime(capsys, q):
     rc, out, err = run_cli(capsys, "gen", "-r", "3", "-q", q)
     _assert_one_error_line(rc, out, err)
@@ -225,6 +225,8 @@ def test_gen_rejects_a_q_that_is_not_prime(capsys, q):
          "capacity must be positive"),
         (["max", "{path}", "--weights", "1,1"], "weights length 2 != k = 4"),
         (["lambda-star", "{path}", "--symbol", "9"], "symbol '9' out of range 1..4"),
+        (["lambda-star", "{path}", "--symbol", ""], "bad symbol token ''"),
+        (["stats", "{path}", "--symbols", ""], "bad symbol token ''"),
         (["verify"], "verify needs either --code FILE or -r and -q"),
         (["slice", "{path}", "--axes", "a,a", "--max", "1", "--step", "1"],
          "axes must be distinct"),
@@ -236,23 +238,25 @@ def test_gen_rejects_a_q_that_is_not_prime(capsys, q):
          "--step must be positive and --max nonnegative"),
         (["import", "{ragged}"], "ragged matrix"),
         (["import", "{repeated}"], "dual dimension mismatch"),
+        (["import", "{zero}"], "parity check violates Hamming property: zero column"),
     ],
-    ids=["capacity-0", "weights-length", "symbol-range", "verify-no-code",
-         "slice-same-axes", "slice-bad-fix", "slice-axis-fixed", "slice-step-0",
-         "import-ragged", "import-repeated-h-row"],
+    ids=["capacity-0", "weights-length", "symbol-range", "symbol-empty", "symbols-empty",
+         "verify-no-code", "slice-same-axes", "slice-bad-fix", "slice-axis-fixed",
+         "slice-step-0", "import-ragged", "import-repeated-h-row", "import-zero-column"],
 )
 def test_input_error_exits_2_with_its_message(tmp_path, capsys, argv, message):
     path = gen_file(tmp_path, "gen", "-r", "3", "-q", "2")
     ragged = tmp_path / "ragged.json"
     ragged.write_text(json.dumps({"q": 2, "generator": _RAGGED}))
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"q": 2, "generator": ZERO_COLUMN_G}))
     # H with a row repeated keeps rank r, so only its row count is wrong.
     data = json.loads(open(path).read())
     data["parity_check"].append(data["parity_check"][0])
     repeated = tmp_path / "repeated.json"
     repeated.write_text(json.dumps(data))
-    rc, out, err = run_cli(
-        capsys, *[a.format(path=path, ragged=ragged, repeated=repeated) for a in argv]
-    )
+    files = dict(path=path, ragged=ragged, repeated=repeated, zero=zero)
+    rc, out, err = run_cli(capsys, *[a.format(**files) for a in argv])
     _assert_one_error_line(rc, out, err)
     assert message in err
 
@@ -726,7 +730,7 @@ def test_code_over_entry_limit_exits_3_before_building(capsys, command):
     n = 2 ** 40 - 1
     assert (
         f"Ham(40,2) has {(n - 40) * n} generator entries, over the limit of "
-        f"{srr.CODE_ENTRY_LIMIT}" in err
+        f"{codes.CODE_ENTRY_LIMIT}" in err
     )
 
 

@@ -5,7 +5,7 @@ import pytest
 from srrham import codes
 from srrham.fields import FieldMatrix, in_span, rank
 
-from conftest import CLASSIC_G_32, CLASSIC_H_32, GPRIME, NONSYS_G
+from conftest import CLASSIC_G_32, CLASSIC_H_32, GPRIME, NONSYS_G, ZERO_COLUMN_G
 from oracles import min_weight, orthogonal
 
 
@@ -138,11 +138,13 @@ def test_import_rejects_repeated_column_code():
     rows = [list(r) for r in c.generator.entries]
     for row in rows:
         row[1] = row[0]  # duplicate a stored combination
-    try:
+    with pytest.raises(ValueError, match="dependent column pair"):
         codes.import_generator(rows, 2)
-    except ValueError:
-        return
-    pytest.fail("expected a Hamming-property rejection")
+
+
+def test_import_rejects_a_code_whose_parity_check_has_a_zero_column():
+    with pytest.raises(ValueError, match="Hamming property: zero column"):
+        codes.import_generator(ZERO_COLUMN_G, 2)
 
 
 @pytest.mark.parametrize(

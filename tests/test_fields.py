@@ -7,6 +7,7 @@ from srrham.fields import (
     FieldMatrix,
     format_rational,
     in_span,
+    is_prime,
     kernel_basis,
     parse_rational,
     rank,
@@ -15,6 +16,11 @@ from srrham.fields import (
 
 from conftest import CLASSIC_G_32, CLASSIC_H_32
 from oracles import orthogonal
+
+
+def test_is_prime_matches_trial_division_below_200():
+    for n in range(200):
+        assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, n))), n
 
 
 # Scalars are plain ints inside FieldMatrix; the field laws are checked

@@ -1,11 +1,10 @@
-"""The package's import surface: lazy exports and per-command imports.
+"""The package's import surface: one home per name, per-command imports.
 
-``import srrham`` resolves its exports on first use, and each CLI command
-imports only the modules it runs.  Losing that laziness fails here, not as a
-slower start-up.
+``import srrham`` loads no submodule, each name is imported from the module
+that defines it, and each CLI command imports only the modules it runs.
+Losing that fails here, not as a slower start-up.
 """
 
-import importlib
 import json
 import os
 import subprocess
@@ -16,23 +15,10 @@ import pytest
 
 import srrham
 from srrham import cli, codes, errors, lp, srr
+from srrham import hypergraph as hg
 
 SRC = str(Path(srrham.__file__).resolve().parent.parent)
-SUBMODULES = ("cli", "codes", "errors", "fields", "hypergraph", "lp", "recovery", "srr")
 SOLVER = {"srrham.lp", "srrham.hypergraph", "srrham.srr"}
-
-EXPORTS = {
-    "Allocation", "Codeword", "Edge", "FieldMatrix", "Hypergraph",
-    "HypergraphStats", "LinearCode", "PivotLimitError", "RecoverySystem",
-    "SrrInstance", "StructureReport", "SubsetBound", "build_parity_check",
-    "build_recovery_system", "check_cover", "check_packing", "classic_hamming",
-    "compute_stats", "delta_simplex", "dual_codewords", "fractional_matching_number",
-    "from_recovery_system", "import_generator", "in_span", "lambda_star",
-    "lambda_star_vector", "m3_brute", "m3_closed_form", "matching_number",
-    "max_objective", "max_served", "membership", "odd_weight_column_count",
-    "partial_hypergraph", "rref", "structure_report", "subset_bound",
-    "systematic_hamming", "transversal_number", "verify_report", "waterfill",
-}
 
 
 def _fresh(script: str, *args: str) -> str:
@@ -98,33 +84,15 @@ def test_check_loads_the_region_engine(tmp_path, code_file):
 def test_import_srrham_loads_nothing_until_used():
     out = _fresh(
         "import sys, srrham\n"
-        "print(sorted(m for m in sys.modules if m.startswith('srrham')))\n"
-        f"print(*(getattr(srrham, m).__name__ for m in {SUBMODULES!r}))\n"
-        "print(srrham.srr.membership.__name__, srrham.waterfill.__module__)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('srrham')), srrham.__version__)\n"
+        "from srrham.srr import membership\n"
+        "print(membership.__module__, 'srrham.srr' in sys.modules)\n"
+        "try:\n"
+        "    from srrham import membership\n"
+        "except ImportError:\n"
+        "    print('ImportError')\n"
     )
-    assert out.splitlines() == [
-        "['srrham']",
-        " ".join(f"srrham.{m}" for m in SUBMODULES),
-        "membership srrham.srr",
-    ]
-
-
-def test_exports_are_todays_names_and_their_submodule_objects():
-    assert set(srrham.__all__) == EXPORTS
-    modules = [importlib.import_module(f"srrham.{m}") for m in SUBMODULES]
-    for name in srrham.__all__:
-        value = getattr(srrham, name)
-        assert any(getattr(m, name, None) is value for m in modules), name
-    from srrham import classic_hamming, membership
-
-    assert (classic_hamming, membership) == (codes.classic_hamming, srr.membership)
-    assert srrham.__version__ == "0.1.0"
-
-
-def test_dir_lists_every_export_and_submodule():
-    listed = set(dir(srrham))
-    assert EXPORTS <= listed
-    assert set(SUBMODULES) <= listed
+    assert out.splitlines() == ["['srrham'] 0.1.0", "srrham.srr True", "ImportError"]
 
 
 def test_unknown_name_raises_attribute_error():
@@ -135,9 +103,7 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_exit_code_errors_keep_their_old_homes():
-    assert errors.PivotLimitError is lp.PivotLimitError is srrham.PivotLimitError
-    assert errors.InvariantError is lp.InvariantError
+    assert errors.PivotLimitError is lp.PivotLimitError
+    assert errors.InvariantError is lp.InvariantError is srr.InvariantError is hg.InvariantError
     assert errors.EventLimitError is srr.EventLimitError
     assert errors.WorkLimitError is srr.WorkLimitError is codes.WorkLimitError
-    assert srr.check_code_entries is codes.check_code_entries
-    assert srr.CODE_ENTRY_LIMIT == codes.CODE_ENTRY_LIMIT

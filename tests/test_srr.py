@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -414,6 +415,12 @@ def test_subset_bound_pairs_r4(sys42_instance):
 def test_subset_bound_full_set_r4(sys42_instance):
     bound = srr.subset_bound(sys42_instance, range(1, 12))
     assert bound.predicted == 11 and bound.computed == 11
+
+
+@pytest.mark.parametrize("subset", [(0, 1), (1, 12)], ids=["zero", "past-k"])
+def test_subset_bound_rejects_a_symbol_out_of_range(sys42_instance, subset):
+    with pytest.raises(ValueError, match=re.escape(f"subset {subset} out of range 1..11")):
+        srr.subset_bound(sys42_instance, subset)
 
 
 def test_subset_bound_input_validation(sys33_instance, nonsys_instance, classic32_instance):
