@@ -201,7 +201,7 @@ def _cmd_m3(args) -> dict:
 def _cmd_verify(args) -> dict:
     from . import srr
 
-    if args.code:
+    if args.code is not None:
         code = _load_code(args.code)
     elif args.r is None or args.q is None:
         raise ValueError("verify needs either --code FILE or -r and -q")
@@ -223,7 +223,7 @@ def _cmd_slice(args) -> str:
     if len(set(axes)) != len(axes):
         raise ValueError("axes must be distinct")
     fixed: dict[int, Fraction] = {}
-    if args.fix:
+    if args.fix is not None:
         for part in args.fix.split(","):
             if "=" not in part:
                 raise ValueError(f"bad --fix assignment {part!r}")

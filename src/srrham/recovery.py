@@ -98,14 +98,15 @@ def build_recovery_system(code: LinearCode) -> RecoverySystem:
         kept_masks: list[int] = []
         sets: list[RecoverySet] = []
         for size in sorted(by_size):
-            level = []
-            # Masks of one size are distinct, so none contains another.
+            level, level_masks = [], []
+            # Masks of one size are distinct, so none contains another: only
+            # the kept masks of smaller sizes can make a candidate non-minimal.
             for mask, c in by_size[size].items():
                 for m in kept_masks:
                     if m & mask == m:
                         break
                 else:
-                    kept_masks.append(mask)
+                    level_masks.append(mask)
                     members = list(c.support)
                     for p, v in y0:
                         if not c.entries[p]:
@@ -115,6 +116,7 @@ def build_recovery_system(code: LinearCode) -> RecoverySystem:
                     level.append(tuple(members))
             level.sort()
             sets.extend(level)
+            kept_masks.extend(level_masks)
         per.append(tuple(sets))
     return RecoverySystem(code, tuple(per))
 

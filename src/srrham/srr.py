@@ -13,9 +13,9 @@ Every LP here lists its columns in one order, the hypergraph's canonical
 (size, members, symbol) order (``SrrInstance.variables``).  The simplex
 enters the first improving column (Bland's rule), so the order picks the
 pivot path: size-first columns fill each node with its cheapest sets and
-solve the sum-rate of systematic Ham(5,2) in 26 pivots, where a symbol-major
-order took 106.  One order also makes the sum-rate LP and mu_f the same LP,
-with the same optimal vertex.
+solve the sum-rate LP of systematic Ham(5,2) in 26 pivots, where a
+symbol-major order took 106.  One order also makes the sum-rate LP and mu_f
+the same LP, with the same optimal vertex.
 
 Per-symbol maxima and subset bounds go one step further and keep only the
 sets of the symbols their objective rewards: a set of any other symbol has
@@ -28,7 +28,12 @@ column s (a generator column equal to a scaled e_i): the paper's value
 mu (2q - 1)/(q - 1) comes with a primal allocation and dual node prices of
 that value, built in closed form and accepted by the solver-free checks
 ``hg.check_packing`` and ``hg.check_cover``; equal values prove optimality.
-Symbols without a unit column keep the restricted LP.
+Symbols without a unit column keep the restricted LP.  The sum-rate needs
+no LP either when every weight is one w > 0, every symbol has a unit column
+and q^(r-1) - 1 > r: ``_unit_column_sum_rate`` certifies k mu w by the same
+two checks, with the singleton packing and prices w on the unit columns,
+which is the LP's own optimal vertex.  Ham(3,2), Ham(2,3), unequal weights
+and codes without a unit column per symbol keep the LP.
 
 Every allocation produced here is validated once by direct arithmetic,
 independently of the solver that produced it; a witness that fails its check
@@ -160,6 +165,20 @@ def _certify(allocation: Allocation, instance: SrrInstance, *args, **kwargs) -> 
         raise InvariantError(f"witness failed validation: {exc}") from exc
 
 
+def _certify_prices(
+    prices: Sequence[Fraction],
+    pairs: Iterable[hg.Edge],
+    capacity: Fraction,
+    value: Fraction,
+    weights: Sequence[Fraction],
+) -> None:
+    """``hg.check_cover`` for node prices computed here, where failing is a bug."""
+    try:
+        hg.check_cover(prices, pairs, capacity, value, weights)
+    except ValueError as exc:
+        raise InvariantError(f"node prices failed validation: {exc}") from exc
+
+
 def _region_lp(
     instance: SrrInstance,
     weights: Sequence[Fraction],
@@ -208,18 +227,66 @@ def membership(
     return True, allocation
 
 
+def _unit_column_sum_rate(
+    instance: SrrInstance, w: Fraction, units: Sequence[int]
+) -> tuple[Fraction, Allocation]:
+    """The sum-rate k mu w under equal weights w > 0, for a code whose every
+    symbol i has a unit column s_i and with q^(r-1) - 1 > r, proven by a
+    primal/dual pair of equal value.
+
+    The primal puts mu on each singleton (i, (s_i,)); the s_i are distinct,
+    so no node carries more than mu.  The prices are w on each s_i and 0 on
+    the r other nodes, and cost mu k w.  They cover every set: a singleton
+    (s_i,) costs w, and if column s_i is a e_i, the solutions of G.y = e_i
+    are a^(-1) e_{s_i} + c over the dual (simplex) words c, each nonzero one
+    of weight q^(r-1).  A support holding s_i contains (s_i,), so every other
+    minimal set of symbol i is supp(c) minus s_i for a word c with
+    c_{s_i} = -a^(-1): it has q^(r-1) - 1 nodes and avoids s_i.  With more
+    than r nodes, it holds some other symbol's unit column, of price w.
+    Ham(3,2) (sum-rate 5) and Ham(2,3) have q^(r-1) - 1 = r and keep the LP.
+
+    Under the size-first column order, Bland's rule enters the k singletons
+    first and then stops at these prices, so this is the LP's own optimal
+    vertex.  Failing either check is a bug.
+    """
+    code = instance.code
+    mu = instance.capacity
+    value = code.k * mu * w
+    primal = Allocation({(i, (s,)): mu for i, s in enumerate(units, start=1)})
+    weights = [w] * code.k
+    _certify(primal, instance, weights=weights, value=value)
+    priced = set(units)
+    prices = [w if v in priced else _ZERO for v in range(1, code.n + 1)]
+    _certify_prices(prices, instance.system, mu, value, weights)
+    return value, primal
+
+
 def max_objective(
     instance: SrrInstance, weights: Sequence[Fraction]
 ) -> tuple[Fraction, DemandVector, Allocation]:
-    """Maximize sum w_i * lambda_i over the service rate region."""
+    """Maximize sum w_i * lambda_i over the service rate region.
+
+    Equal positive weights on a code with a unit column per symbol and
+    q^(r-1) - 1 > r take the certified closed form of
+    ``_unit_column_sum_rate``; any other weights or code solve the LP.
+    """
     code = instance.code
     if len(weights) != code.k:
         raise ValueError(f"weights length {len(weights)} != k = {code.k}")
     weights = tuple(exact_rational(w) for w in weights)
     if all(w == 0 for w in weights):
         raise ValueError("weights must not be all zero")
-    value, allocation = _region_lp(instance, weights)
-    _certify(allocation, instance, weights=weights, value=value)
+    w, units = weights[0], code.systematic_positions
+    if (
+        w > 0
+        and units is not None
+        and all(x == w for x in weights)
+        and code.q ** (code.r - 1) - 1 > code.r
+    ):
+        value, allocation = _unit_column_sum_rate(instance, w, units)
+    else:
+        value, allocation = _region_lp(instance, weights)
+        _certify(allocation, instance, weights=weights, value=value)
     return value, allocation.served(code.k), allocation
 
 
@@ -255,10 +322,7 @@ def _unit_column_star(instance: SrrInstance, i: int, s: int) -> Fraction:
     _certify(primal, instance, weights=weights, value=value)
     other = Fraction(1, q ** (r - 1) - 1)
     prices = [_ONE if v == s else other for v in range(1, code.n + 1)]
-    try:
-        hg.check_cover(prices, ((i, m) for m in sets), mu, value, weights)
-    except ValueError as exc:
-        raise InvariantError(f"node prices failed validation: {exc}") from exc
+    _certify_prices(prices, ((i, m) for m in sets), mu, value, weights)
     return value
 
 

@@ -228,10 +228,14 @@ def test_gen_rejects_a_q_that_is_not_prime(capsys, q):
         (["lambda-star", "{path}", "--symbol", ""], "bad symbol token ''"),
         (["stats", "{path}", "--symbols", ""], "bad symbol token ''"),
         (["verify"], "verify needs either --code FILE or -r and -q"),
+        (["verify", "--code", "", "-r", "3", "-q", "2"],
+         "No such file or directory: ''"),
         (["slice", "{path}", "--axes", "a,a", "--max", "1", "--step", "1"],
          "axes must be distinct"),
         (["slice", "{path}", "--axes", "a,b", "--fix", "c1", "--max", "1", "--step", "1"],
          "bad --fix assignment 'c1'"),
+        (["slice", "{path}", "--axes", "a,b", "--fix", "", "--max", "1", "--step", "1"],
+         "bad --fix assignment ''"),
         (["slice", "{path}", "--axes", "a,b", "--fix", "a=1", "--max", "1", "--step", "1"],
          "symbols [1] both axis and fixed"),
         (["slice", "{path}", "--axes", "a,b", "--max", "1", "--step", "0"],
@@ -241,7 +245,8 @@ def test_gen_rejects_a_q_that_is_not_prime(capsys, q):
         (["import", "{zero}"], "parity check violates Hamming property: zero column"),
     ],
     ids=["capacity-0", "weights-length", "symbol-range", "symbol-empty", "symbols-empty",
-         "verify-no-code", "slice-same-axes", "slice-bad-fix", "slice-axis-fixed",
+         "verify-no-code", "verify-empty-code", "slice-same-axes", "slice-bad-fix",
+         "slice-empty-fix", "slice-axis-fixed",
          "slice-step-0", "import-ragged", "import-repeated-h-row", "import-zero-column"],
 )
 def test_input_error_exits_2_with_its_message(tmp_path, capsys, argv, message):
@@ -864,6 +869,18 @@ def _overstated_cover(monkeypatch):
     monkeypatch.setattr(hg, "check_cover", overstated)
 
 
+def _zeroed_price(monkeypatch):
+    """The first positive node price drops to 0 before the cover check."""
+    cover = hg.check_cover
+
+    def zeroed(prices, *args):
+        prices = list(prices)
+        prices[next(v for v, y in enumerate(prices) if y)] = 0
+        return cover(prices, *args)
+
+    monkeypatch.setattr(hg, "check_cover", zeroed)
+
+
 def _dropped_transversal_vertex(monkeypatch):
     transversal = hg.transversal_number
 
@@ -908,19 +925,23 @@ def _wrong_binomial(monkeypatch):
          "node prices failed validation: prices cost 3, not the value 4"),
         (_shifted_unit_columns, ["delta", "{path}"],
          "witness failed validation: witness is worth 5/2, not the value 3"),
+        (_zeroed_price, ["max", "{ham42}", "--weights", ",".join(["1"] * 11)],
+         "node prices failed validation: prices on (3,) do not cover symbol 1's weight"),
     ],
     ids=["pivot-exactness", "non-optimal-lp", "lambda-witness", "member-witness",
          "stats-witness", "stats-transversal", "m3-count", "lambda-prices",
-         "lambda-unit-column"],
+         "lambda-unit-column", "sum-rate-prices"],
 )
 def test_internal_invariant_failure_exits_4(
     tmp_path, capsys, monkeypatch, sabotage, argv, message
 ):
     path = gen_file(tmp_path, "gen", "-r", "3", "-q", "2")
+    ham42 = tmp_path / "ham42.json"
+    assert cli.main(["gen", "-r", "4", "-q", "2", "--out", str(ham42)]) == 0
     nonsys = nonsys_file(tmp_path)
     sabotage(monkeypatch)
     rc, out, err = run_cli(
-        capsys, *[a.format(path=path, nonsys=nonsys) for a in argv]
+        capsys, *[a.format(path=path, ham42=ham42, nonsys=nonsys) for a in argv]
     )
     assert (rc, out) == (4, "")
     assert err.startswith("internal error: ") and message in err

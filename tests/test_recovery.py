@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import pytest
@@ -46,6 +48,24 @@ def test_build_recovery_system_golden(classic32):
     assert system.total_sets() == 20
     for i in range(1, 5):
         assert set(system.per_symbol[i - 1]) == CLASSIC_RECOVERY[i]
+
+
+# sha256 of json.dumps(to_json_dict()) of systematic codes, recorded while
+# every candidate set was still compared with the kept sets of its own size.
+_SYSTEM_SHA256 = {
+    (4, 2): "761dcd62304a7ed719539186f41c1537b32031b769aa909e1161dc7fe06d48b1",
+    (5, 2): "0f8ce8904ba8c88d3e1e681a943039db75c4041aa33b3d91834189174aeacd57",
+    (6, 2): "7b0ec862216c794a1a9dad15e74d3c4f0e8e8aba23b61693c8683b20e1027e57",
+    (7, 2): "f2b02fecc0e67f2438abc5279c1a73f90a305a0b1da46a4a918f02f3b304710c",
+    (4, 3): "47f3607f2c91c8948380422af2ad962adc83f975dfca4eb37a267507e4881032",
+}
+
+
+@pytest.mark.parametrize("r,q", sorted(_SYSTEM_SHA256))
+def test_build_recovery_system_systematic_digest(r, q):
+    system = recovery.build_recovery_system(codes.systematic_hamming(r, q))
+    text = json.dumps(system.to_json_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == _SYSTEM_SHA256[r, q]
 
 
 def test_build_recovery_system_nonsystematic_sizes(nonsys):

@@ -247,6 +247,83 @@ def test_lambda_star_closed_form_matches_the_lp(monkeypatch, r, q, layout):
     assert set(reached) == set(range(1, code.k + 1)) - set(units)
 
 
+def _permuted_and_scaled(r, q):
+    """Systematic Ham(r,q) with its columns permuted and scaled by nonzero
+    field elements (seeded): every symbol keeps a scaled unit column."""
+    rng = random.Random(10 * r + q)
+    generator = codes.systematic_hamming(r, q).generator
+    order = list(range(generator.cols))
+    rng.shuffle(order)
+    scales = [rng.randrange(1, q) for _ in order]
+    rows = [
+        [row[j] * a % q for j, a in zip(order, scales)] for row in generator.entries
+    ]
+    return codes.import_generator(rows, q)
+
+
+@pytest.mark.parametrize("layout", ["systematic", "classic", "permuted"])
+@pytest.mark.parametrize(
+    "r,q", [(4, 2), (5, 2), (6, 2), (3, 3), (4, 3), (2, 5), (3, 5)]
+)
+def test_certified_sum_rate_is_the_lp_vertex(monkeypatch, r, q, layout):
+    """Equal weights on a code with a unit column per symbol never reach the
+    LP, and the certified answer is the LP's own value, service and witness."""
+    build = {
+        "systematic": codes.systematic_hamming,
+        "classic": codes.classic_hamming,
+        "permuted": _permuted_and_scaled,
+    }[layout]
+    code = build(r, q)
+    assert code.systematic_positions is not None
+    system, k = srr.SrrInstance.for_code(code).system, code.k
+    region_lp = srr._region_lp
+    reached = []
+    monkeypatch.setattr(
+        srr, "_region_lp", lambda *args: reached.append(args) or region_lp(*args)
+    )
+    for capacity, w in ((1, 1), (F(2, 3), F(3, 2))):
+        instance = srr.SrrInstance(system, capacity)
+        value, served, allocation = srr.max_objective(instance, [w] * k)
+        assert not reached
+        lp_value, lp_allocation = region_lp(instance, [F(w)] * k)
+        assert value == lp_value == k * capacity * w
+        assert served == lp_allocation.served(k) == (capacity,) * k
+        assert allocation.weights == lp_allocation.weights
+        assert allocation.to_json_list() == lp_allocation.to_json_list()
+
+
+@pytest.mark.parametrize(
+    "r,q,layout,weights",
+    [
+        (3, 2, "systematic", None),
+        (3, 2, "classic", None),
+        (2, 3, "systematic", None),
+        (4, 2, "systematic", [1] * 10 + [2]),
+        (4, 2, "systematic", [-1] * 11),
+        (4, 2, "scrambled", None),
+    ],
+    ids=["ham32", "classic32", "ham23", "unequal", "negative", "scrambled42"],
+)
+def test_sum_rate_keeps_the_lp_without_its_certificate(
+    monkeypatch, r, q, layout, weights
+):
+    code, _ = _route_code(r, q, layout)
+    if layout == "scrambled":
+        assert code.systematic_positions is None
+    instance = srr.SrrInstance.for_code(code)
+    weights = weights or [1] * code.k
+    region_lp = srr._region_lp
+    reached = []
+    monkeypatch.setattr(
+        srr, "_region_lp", lambda *args: reached.append(args) or region_lp(*args)
+    )
+    value, _, _ = srr.max_objective(instance, weights)
+    assert len(reached) == 1
+    assert value == region_lp(instance, [F(w) for w in weights])[0]
+    if (r, q) == (3, 2):
+        assert value == 5
+
+
 def _drawn_code(kind, seed, nonsys):
     """NONSYS_G, a scrambled Ham(3,2) or Ham(3,3), or a column-permuted
     (so still systematic) Ham(3,2)."""
@@ -330,7 +407,8 @@ def test_sum_rate_pivots_in_the_size_first_order(sys52_instance, monkeypatch):
         pivots.append(self.pivots)
 
     monkeypatch.setattr(lp._Tableau, "optimize", counted)
-    value, _, _ = srr.max_objective(sys52_instance, [1] * 26)
+    # The LP itself: max_objective answers this sum-rate by its certificate.
+    value, _ = srr._region_lp(sys52_instance, [1] * 26)
     assert (value, pivots) == (26, [26])
 
 
