@@ -370,7 +370,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         payload = args.func(args)
         if not isinstance(payload, str):
             payload = json.dumps(payload, indent=2) + "\n"
-        if getattr(args, "out", None):
+        if getattr(args, "out", None) is not None:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(payload)
         else:

@@ -33,7 +33,12 @@ no LP either when every weight is one w > 0, every symbol has a unit column
 and q^(r-1) - 1 > r: ``_unit_column_sum_rate`` certifies k mu w by the same
 two checks, with the singleton packing and prices w on the unit columns,
 which is the LP's own optimal vertex.  Ham(3,2), Ham(2,3), unequal weights
-and codes without a unit column per symbol keep the LP.
+and codes without a unit column per symbol keep the LP.  A subset maximum
+of a binary code needs no LP when the subset I has two or more symbols,
+each with a unit column: ``_unit_column_subset_max`` certifies mu |I|, or
+mu (|I| + 1) when some set of I's symbols avoids all of I's unit columns,
+by the singleton packing plus one such set and prices 1 on the unit columns
+plus one node that every such set holds.
 
 Every allocation produced here is validated once by direct arithmetic,
 independently of the solver that produced it; a witness that fails its check
@@ -69,10 +74,10 @@ M3_PAIR_LIMIT = 5 * 10 ** 7
 # machine), so a slice grid of this many points runs for 2 to 20 minutes.
 SLICE_POINT_LIMIT = 10 ** 5
 
-# A subset LP of verify costs 3 to 5 us per entry of its dense n x columns
-# matrix on systematic Ham(6..8, 2) (same machine), so this limit stops the
-# sampled subset LPs before they would run past about 2 minutes.
-VERIFY_ENTRY_LIMIT = 3 * 10 ** 7
+# verify costs about 1.6 us per entry that ``check_verify_budget`` counts on
+# systematic Ham(7, 2) and 2.2 us on Ham(8, 2) (same machine; 22 s and 200 s),
+# so this limit stops it before it would run past about 7 minutes.
+VERIFY_ENTRY_LIMIT = 2 * 10 ** 8
 
 # Default ceiling on waterfilling events (pour steps) before EventLimitError.
 WATERFILL_EVENT_LIMIT = 10_000
@@ -294,12 +299,65 @@ def _rewarded_max(instance: SrrInstance, symbols: Collection[int]) -> Fraction:
     """Max of sum_{i in symbols} served_i, over the sets of ``symbols`` only.
 
     The other symbols' sets would carry weight 0: setting them to 0 keeps
-    any point feasible and its value, so the optimum is the full LP's.
+    any point feasible and its value, so the optimum is the full LP's.  A
+    binary code with two or more symbols, each with a unit column, takes the
+    certified closed form of ``_unit_column_subset_max``; any other case,
+    lambda* among them, solves the LP.
     """
-    k = instance.code.k
-    weights = [_ONE if i in symbols else _ZERO for i in range(1, k + 1)]
+    code = instance.code
+    weights = [_ONE if i in symbols else _ZERO for i in range(1, code.k + 1)]
+    units = [code.unit_columns[i - 1] for i in symbols]
+    if code.q == 2 and len(units) >= 2 and None not in units:
+        return _unit_column_subset_max(instance, symbols, units, weights)
     value, allocation = _region_lp(instance, weights, symbols=symbols)
     _certify(allocation, instance, weights=weights, value=value)
+    return value
+
+
+def _unit_column_subset_max(
+    instance: SrrInstance,
+    symbols: Collection[int],
+    units: Sequence[int],
+    weights: Sequence[Fraction],
+) -> Fraction:
+    """The subset maximum mu (|I| + [a free set exists]) of a binary code,
+    for a subset I of at least two symbols, each with a unit column s_i,
+    proven by a primal/dual pair of equal value.
+
+    Let S = {s_i : i in I}; a set is free if it is a recovery set of a
+    symbol in I that holds no node of S.  The primal puts mu on each
+    singleton (i, (s_i,)) and mu on the first free pair, if there is one;
+    the prices are 1 on each node of S and 1 on the lowest node that every
+    free set holds.  Every set of I's symbols then costs at least 1.
+
+    Such a node exists.  Write h_v for column v of H.  A non-singleton set
+    of symbol i is {v != s_i : a.h_v = 1} for some a with a.h_{s_i} = 1.  If
+    it is free, a.h_{s_j} = 0 for every other j in I, so a.u = 1 for
+    u = sum_{j in I} h_{s_j}, and the set holds the node of column u unless
+    u = h_{s_i}.  In that case the other h_{s_j} of I sum to 0, so no other
+    symbol j of I has a free set (its a would give a.0 = a.h_{s_j} = 1), and
+    every free set of i holds the node h_{s_i} + h_{s_j} for any other j in
+    I.  A binary Hamming H has every nonzero vector as a column, so the node
+    is there.  So symbol i has a free set exactly when h_{s_i} lies outside
+    the span of the other h_{s_j} of I.  Failing either check is a bug.
+    """
+    mu = instance.capacity
+    per_symbol = instance.system.per_symbol
+    pairs = [(i, m) for i in symbols for m in per_symbol[i - 1]]
+    held = set(units)
+    free = [(i, m) for i, m in pairs if held.isdisjoint(m)]
+    primal = {(i, (s,)): mu for i, s in zip(symbols, units)}
+    shared = None
+    if free:
+        primal[free[0]] = mu
+        shared = min(set(free[0][1]).intersection(*(m for _, m in free)), default=None)
+    value = mu * len(primal)
+    _certify(Allocation(primal), instance, weights=weights, value=value)
+    prices = [
+        _ONE if v in held or v == shared else _ZERO
+        for v in range(1, instance.code.n + 1)
+    ]
+    _certify_prices(prices, pairs, mu, value, weights)
     return value
 
 
@@ -391,9 +449,9 @@ def subset_bound(instance: SrrInstance, symbols: Iterable[int]) -> SubsetBound:
     Binary systematic codes only.  The prediction is |I| when the parity-check
     columns at the subset's systematic positions sum to zero, else |I| + 1;
     the full set I = [k] is the separately-stated case where the ceiling is k
-    for r > 3.  The computed value is the exact LP maximum, solved over the
-    subset's recovery sets only; it equals ``max_objective`` with weight 1 on
-    the subset and 0 elsewhere.
+    for r > 3.  The computed value is the exact maximum, certified in closed
+    form by ``_unit_column_subset_max`` without an LP; it equals
+    ``max_objective`` with weight 1 on the subset and 0 elsewhere.
     """
     code = instance.code
     if code.q != 2:
@@ -604,25 +662,25 @@ def _uniformized_sizes(k: int, samples: int) -> list[int]:
 
 
 def check_verify_budget(code: LinearCode, samples: int) -> None:
-    """Raise WorkLimitError if the subset LPs that ``verify_report`` samples
-    would hold more than VERIFY_ENTRY_LIMIT matrix entries in all.  They run
-    on binary systematic codes only, where every symbol has 2^(r-1) + 1
-    recovery sets, so a subset of s symbols is an n x s (2^(r-1) + 1) LP."""
+    """Raise WorkLimitError if ``verify_report`` on a binary systematic code
+    would read more than VERIFY_ENTRY_LIMIT matrix entries in all.  Every
+    symbol has 2^(r-1) + 1 recovery sets, N = k (2^(r-1) + 1) in all, so
+    mu_f is an n x N LP and each of the four ``max_served`` LPs is
+    (n + k) x N; each symbol of a sampled subset adds n x (2^(r-1) + 1),
+    the sets that its cover check (or, alone, its LP) reads.  Other codes
+    sample no subsets and are not counted."""
     if code.q != 2 or code.systematic_positions is None:
         return
-    k = code.k
+    n, k, sets = code.n, code.k, 2 ** (code.r - 1) + 1
     symbols = (
         2 * min(samples, math.comb(k, 2))
         + 3 * min(samples, math.comb(k, 3))
         + sum(_uniformized_sizes(k, samples))
     )
-    entries = symbols * (2 ** (code.r - 1) + 1) * code.n
+    entries = (n + 4 * (n + k)) * k * sets + symbols * sets * n
     if entries > VERIFY_ENTRY_LIMIT:
         raise WorkLimitError(
-            f"verify's subset LPs on {code.n} nodes need",
-            "matrix entries",
-            VERIFY_ENTRY_LIMIT,
-            entries,
+            f"verify on {n} nodes needs", "matrix entries", VERIFY_ENTRY_LIMIT, entries
         )
 
 

@@ -230,6 +230,7 @@ def test_gen_rejects_a_q_that_is_not_prime(capsys, q):
         (["verify"], "verify needs either --code FILE or -r and -q"),
         (["verify", "--code", "", "-r", "3", "-q", "2"],
          "No such file or directory: ''"),
+        (["gen", "-r", "3", "-q", "2", "--out", ""], "No such file or directory: ''"),
         (["slice", "{path}", "--axes", "a,a", "--max", "1", "--step", "1"],
          "axes must be distinct"),
         (["slice", "{path}", "--axes", "a,b", "--fix", "c1", "--max", "1", "--step", "1"],
@@ -245,8 +246,8 @@ def test_gen_rejects_a_q_that_is_not_prime(capsys, q):
         (["import", "{zero}"], "parity check violates Hamming property: zero column"),
     ],
     ids=["capacity-0", "weights-length", "symbol-range", "symbol-empty", "symbols-empty",
-         "verify-no-code", "verify-empty-code", "slice-same-axes", "slice-bad-fix",
-         "slice-empty-fix", "slice-axis-fixed",
+         "verify-no-code", "verify-empty-code", "gen-empty-out", "slice-same-axes",
+         "slice-bad-fix", "slice-empty-fix", "slice-axis-fixed",
          "slice-step-0", "import-ragged", "import-repeated-h-row", "import-zero-column"],
 )
 def test_input_error_exits_2_with_its_message(tmp_path, capsys, argv, message):
@@ -375,17 +376,19 @@ def test_verify_rejects_zero_samples(capsys):
 def test_verify_over_the_subset_lp_budget_exits_3_before_building(capsys):
     start = time.perf_counter()
     rc, out, err = run_cli(
-        capsys, "verify", "-r", "6", "-q", "2", "--systematic", "--samples", "100000"
+        capsys, "verify", "-r", "7", "-q", "2", "--systematic", "--samples", "100000"
     )
     assert time.perf_counter() - start < 1
     assert (rc, out) == (3, "")
-    # All C(57,2) pairs, all C(57,3) triples and sizes 1, 1, ..., 56, 56 of
-    # the uniformized check; 33 sets per symbol and 63 capacity rows.
-    symbols = 2 * 1596 + 3 * 29260 + 2 * sum(range(1, 57))
-    entries = symbols * 33 * 63
+    # mu_f (127 rows) and four max_served LPs (127 + 120 rows) over all
+    # 120 x 65 sets; then all C(120,2) pairs, 100000 of the C(120,3) triples
+    # and sizes 1, 1, ..., 119, 119 of the uniformized check, 65 sets of 127
+    # nodes per symbol.
+    symbols = 2 * 7140 + 3 * 100000 + 2 * sum(range(1, 120))
+    entries = (127 + 4 * 247) * 120 * 65 + symbols * 65 * 127
     assert (
-        f"need {entries} matrix entries, over the limit of {srr.VERIFY_ENTRY_LIMIT}"
-        in err
+        f"verify on 127 nodes needs {entries} matrix entries, over the limit of "
+        f"{srr.VERIFY_ENTRY_LIMIT}" in err
     )
 
 
@@ -676,7 +679,6 @@ def test_pivot_ceiling_exits_3(tmp_path, capsys, monkeypatch):
         ["max", "{path}", "--weights", "1,1,1,1"],
         ["lambda-star", "{nonsys}"],
         ["delta", "{nonsys}"],
-        ["subset", "{path}", "--symbols", "a,b"],
         ["slice", "{path}", "--axes", "a", "--max", "1", "--step", "1"],
         ["stats", "{path}"],
         ["verify", "-r", "3", "-q", "2"],
@@ -694,6 +696,22 @@ def test_every_lp_command_obeys_the_env_pivot_ceiling(
     )
     assert (rc, out) == (3, "")
     assert "pivot ceiling of 0" in err
+
+
+def test_subset_answers_without_a_pivot_under_the_env_ceiling(
+    tmp_path, capsys, monkeypatch
+):
+    # A binary subset ceiling is proven by a closed-form certificate, so it
+    # runs no simplex and prints what the LP printed.
+    path = gen_file(tmp_path, "gen", "-r", "3", "-q", "2")
+    monkeypatch.setenv(lp.PIVOT_LIMIT_ENV, "0")
+    rc, out, err = run_cli(capsys, "subset", path, "--symbols", "a,b")
+    assert (rc, err) == (0, "")
+    expected = {
+        "subset": [1, 2], "column_sum": [1, 1, 0], "predicted": 3, "computed": "3",
+        "tight": True,
+    }
+    assert out == json.dumps(expected, indent=2) + "\n"
 
 
 def test_pivot_limit_flag_is_gone(tmp_path, capsys):
@@ -881,6 +899,20 @@ def _zeroed_price(monkeypatch):
     monkeypatch.setattr(hg, "check_cover", zeroed)
 
 
+def _zeroed_shared_price(monkeypatch):
+    """The last positive node price drops to 0 before the cover check: for
+    symbols a and b of Ham(3,2), the price on node 6, which every free set
+    holds."""
+    cover = hg.check_cover
+
+    def zeroed(prices, *args):
+        prices = list(prices)
+        prices[max(v for v, y in enumerate(prices) if y)] = 0
+        return cover(prices, *args)
+
+    monkeypatch.setattr(hg, "check_cover", zeroed)
+
+
 def _dropped_transversal_vertex(monkeypatch):
     transversal = hg.transversal_number
 
@@ -927,10 +959,12 @@ def _wrong_binomial(monkeypatch):
          "witness failed validation: witness is worth 5/2, not the value 3"),
         (_zeroed_price, ["max", "{ham42}", "--weights", ",".join(["1"] * 11)],
          "node prices failed validation: prices on (3,) do not cover symbol 1's weight"),
+        (_zeroed_shared_price, ["subset", "{path}", "--symbols", "a,b"],
+         "node prices failed validation: prices on (1, 4, 6) do not cover symbol 1's weight"),
     ],
     ids=["pivot-exactness", "non-optimal-lp", "lambda-witness", "member-witness",
          "stats-witness", "stats-transversal", "m3-count", "lambda-prices",
-         "lambda-unit-column", "sum-rate-prices"],
+         "lambda-unit-column", "sum-rate-prices", "subset-prices"],
 )
 def test_internal_invariant_failure_exits_4(
     tmp_path, capsys, monkeypatch, sabotage, argv, message

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -510,6 +511,116 @@ def test_subset_bound_input_validation(sys33_instance, nonsys_instance, classic3
         srr.subset_bound(classic32_instance, (1,))
 
 
+def _column_bits(code, i):
+    """Column s_i of H, as the bits of an int."""
+    column = code.parity_check.column(code.unit_columns[i - 1] - 1)
+    return int("".join(map(str, column)), 2)
+
+
+def _spans(vectors, target):
+    """Is ``target`` in the GF(2) span of ``vectors`` (ints as bit vectors)?"""
+    basis = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    for b in basis:
+        target = min(target, target ^ b)
+    return target == 0
+
+
+def _lp_subset_max(instance, subset):
+    k = instance.code.k
+    weights = [F(1) if i in subset else F(0) for i in range(1, k + 1)]
+    return srr._region_lp(instance, weights, symbols=subset)[0]
+
+
+def _cross_check(instance, subsets):
+    """The certified subset maximum equals the LP's, and it is mu (|I| + 1)
+    exactly when some h_{s_i} lies outside the span of the other h_{s_j}."""
+    code, mu = instance.code, instance.capacity
+    for subset in subsets:
+        columns = {i: _column_bits(code, i) for i in subset}
+        free = any(
+            not _spans([c for j, c in columns.items() if j != i], columns[i])
+            for i in subset
+        )
+        value = srr._rewarded_max(instance, subset)
+        assert value == mu * (len(subset) + free), subset
+        assert value == _lp_subset_max(instance, subset), subset
+
+
+@pytest.mark.parametrize("build", [codes.classic_hamming, codes.systematic_hamming])
+def test_subset_max_certificate_on_every_ham32_subset(build):
+    for capacity in (1, F(2, 3)):
+        instance = srr.SrrInstance.for_code(build(3, 2), capacity)
+        _cross_check(instance, [
+            s for size in range(2, 5) for s in itertools.combinations(range(1, 5), size)
+        ])
+
+
+def test_subset_max_certificate_and_strict_tally_on_every_ham42_subset(sys42_instance):
+    # The prediction |I| + 1 overshoots the exact ceiling |I| this many
+    # times per subset size; the full set is tight (k for r > 3).
+    subsets = [
+        s for size in range(2, 12) for s in itertools.combinations(range(1, 12), size)
+    ]
+    _cross_check(sys42_instance, subsets)
+    strict = collections.Counter()
+    for subset in subsets:
+        bound = srr.subset_bound(sys42_instance, subset)
+        assert bound.computed <= bound.predicted
+        if not bound.tight:
+            assert (bound.predicted, bound.computed) == (len(subset) + 1, len(subset))
+            strict[len(subset)] += 1
+    assert strict == {5: 51, 6: 195, 7: 259, 8: 151, 9: 52, 10: 10}
+
+
+@pytest.mark.parametrize(
+    "build,r,capacity,count",
+    [
+        (codes.classic_hamming, 4, 1, 120),
+        (codes.systematic_hamming, 5, F(2, 3), 60),
+        (codes.classic_hamming, 5, 1, 30),
+        (codes.systematic_hamming, 6, 1, 10),
+    ],
+    ids=["classic42", "sys52-mu-2/3", "classic52", "sys62"],
+)
+def test_subset_max_certificate_on_random_subsets(build, r, capacity, count):
+    instance = srr.SrrInstance.for_code(build(r, 2), capacity)
+    k = instance.code.k
+    rng = random.Random(100 * r + count)
+    _cross_check(instance, [
+        tuple(sorted(rng.sample(range(1, k + 1), rng.randint(2, k - 1))))
+        for _ in range(count)
+    ])
+
+
+def test_subset_max_takes_the_lp_only_without_its_certificate(
+    monkeypatch, sys42_instance, nonsys_instance, sys33_instance
+):
+    """Two or more binary unit-column symbols never reach the LP; lambda* of
+    a symbol without a unit column and a ternary subset do."""
+    region_lp = srr._region_lp
+    reached = []
+    monkeypatch.setattr(
+        srr, "_region_lp", lambda *a, **kw: reached.append(a) or region_lp(*a, **kw)
+    )
+    for subset in ((1, 2), (1, 2, 3), tuple(range(1, 12))):
+        srr.subset_bound(sys42_instance, subset)
+        srr._rewarded_max(sys42_instance, subset)
+    assert srr._rewarded_max(nonsys_instance, (3, 4)) == region_lp(
+        nonsys_instance, [F(0), F(0), F(1), F(1)], symbols=(3, 4)
+    )[0]
+    assert not reached
+    assert nonsys_instance.code.unit_columns[0] is None
+    srr.lambda_star(nonsys_instance, 1)
+    assert len(reached) == 1
+    srr._rewarded_max(sys33_instance, (1, 2))
+    assert len(reached) == 2
+
+
 @pytest.mark.parametrize("r", [3, 4, 5])
 def test_waterfill_triple_unit_binary(r):
     code = codes.systematic_hamming(r, 2)
@@ -723,8 +834,12 @@ def test_default_verify_samples_fit_the_subset_lp_budget(r):
 
 
 def test_verify_subset_lp_budget_stops_r9_and_skips_the_unsampled_codes(nonsys):
-    with pytest.raises(srr.WorkLimitError, match="511 nodes need 81422740 matrix"):
+    # mu_f and four max_served LPs over 502 x 257 sets (588690882 entries),
+    # and the 620 sampled subset symbols' 257 sets of 511 nodes (81422740).
+    with pytest.raises(srr.WorkLimitError, match="511 nodes needs 670113622 matrix"):
         srr.check_verify_budget(codes.systematic_hamming(9, 2), 40)
+    with pytest.raises(srr.WorkLimitError, match="over the limit of 200000000"):
+        srr.check_verify_budget(codes.classic_hamming(9, 2), 40)
     # Ternary and non-systematic codes sample no subset LPs.
     srr.check_verify_budget(codes.systematic_hamming(4, 3), 10 ** 9)
     srr.check_verify_budget(nonsys, 10 ** 9)
