@@ -14,11 +14,11 @@ All coordinates in reported sets and JSON are 1-based.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+import operator
 from typing import Optional, Sequence
 
 from .errors import SHOWN_BITS, WorkLimitError
-from .fields import FieldMatrix, is_prime, kernel_basis, rank
+from .fields import FieldMatrix, Frozen, is_prime, kernel_basis, rank
 
 # Ham(11, 2) has k * n = 4.2 M generator entries: gen builds and writes it in
 # about 5 s with a 400 MB peak (Python 3.11 on a 2-core Xeon VM), and each
@@ -42,12 +42,14 @@ def check_code_entries(r: int, q: int) -> None:
         raise WorkLimitError(subject, "generator entries", CODE_ENTRY_LIMIT, (n - r) * n)
 
 
-@dataclass(frozen=True)
-class Codeword:
+class Codeword(Frozen):
     """A codeword with its cached nonzero support (1-based)."""
 
-    entries: tuple[int, ...]
-    support: tuple[int, ...]
+    __slots__ = ("entries", "support")
+
+    def __init__(self, entries: tuple[int, ...], support: tuple[int, ...]) -> None:
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "support", support)
 
     @classmethod
     def from_entries(cls, entries: Sequence[int]) -> "Codeword":
@@ -55,8 +57,7 @@ class Codeword:
         return cls(ent, tuple(i + 1 for i, v in enumerate(ent) if v != 0))
 
 
-@dataclass(frozen=True)
-class LinearCode:
+class LinearCode(Frozen):
     """A q-ary Hamming code: both describing matrices, which fix n, k and r.
 
     ``unit_columns`` holds, for each data symbol i, the first 1-based
@@ -65,15 +66,15 @@ class LinearCode:
     no symbol lacks one.  ``d`` is 3, which the Hamming check on import fixes.
     """
 
-    q: int
-    generator: FieldMatrix
-    parity_check: FieldMatrix
-    unit_columns: tuple[Optional[int], ...] = field(init=False, compare=False)
+    __slots__ = ("q", "generator", "parity_check", "unit_columns")
 
     d = 3
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "unit_columns", scaled_unit_columns(self.generator))
+    def __init__(self, q: int, generator: FieldMatrix, parity_check: FieldMatrix) -> None:
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "parity_check", parity_check)
+        object.__setattr__(self, "unit_columns", scaled_unit_columns(generator))
 
     @property
     def systematic_positions(self) -> Optional[tuple[int, ...]]:
@@ -215,7 +216,7 @@ def import_generator(
         parity_check.cols != n
         or rank(parity_check) != r
         or any(
-            sum(a * b for a, b in zip(g, h)) % q
+            sum(map(operator.mul, g, h)) % q
             for g in generator.entries
             for h in parity_check.entries
         )

@@ -9,7 +9,6 @@ arbitrary precision, always in lowest terms, never floats.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -52,23 +51,51 @@ def format_rational(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-@dataclass(frozen=True)
-class FieldMatrix:
+class Frozen:
+    """Base of the package's immutable values.
+
+    A subclass names its fields in ``__slots__`` and sets them in
+    ``__init__`` through ``object.__setattr__``; any later assignment raises
+    AttributeError.  Two values are equal, and hash alike, when they are of
+    one class and their fields are equal (hashing fails on a dict field).
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+
+class FieldMatrix(Frozen):
     """Dense matrix over GF(q); entries are ints in [0, q) sharing one modulus."""
 
-    q: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("q", "entries")
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.q):
-            raise ValueError(f"modulus {self.q} is not prime")
-        widths = {len(row) for row in self.entries}
+    def __init__(self, q: int, entries: tuple[tuple[int, ...], ...]) -> None:
+        if not is_prime(q):
+            raise ValueError(f"modulus {q} is not prime")
+        widths = {len(row) for row in entries}
         if len(widths) > 1:
             raise ValueError("ragged matrix")
-        for row in self.entries:
-            for v in row:
-                if not 0 <= v < self.q:
-                    raise ValueError(f"entry {v} not reduced mod {self.q}")
+        # The distinct entries are few, so range-checking them is cheap; the
+        # first bad entry is searched for only when one exists.
+        values = set().union(*entries)
+        if values and (min(values) < 0 or max(values) >= q):
+            bad = next(v for row in entries for v in row if not 0 <= v < q)
+            raise ValueError(f"entry {bad} not reduced mod {q}")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]], q: int) -> "FieldMatrix":

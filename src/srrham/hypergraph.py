@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Container, Iterable, Mapping, Optional, Sequence
 
 from . import lp
 from .errors import InvariantError
-from .fields import format_rational
+from .fields import Frozen, format_rational
 from .recovery import RecoverySet, RecoverySystem
 
 Edge = tuple[int, RecoverySet]
@@ -43,27 +42,26 @@ def _mask(members: Iterable[int]) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class Hypergraph:
-    vertex_count: int
-    edges: tuple[Edge, ...]
+class Hypergraph(Frozen):
+    __slots__ = ("vertex_count", "edges")
 
-    def __post_init__(self) -> None:
+    def __init__(self, vertex_count: int, edges: tuple[Edge, ...]) -> None:
         seen = set()
-        for edge in self.edges:
+        for edge in edges:
             i, members = edge
             if (
                 i < 1
                 or not members
                 or list(members) != sorted(set(members))
                 or members[0] < 1
-                or members[-1] > self.vertex_count
+                or members[-1] > vertex_count
             ):
-                raise ValueError(f"bad edge {edge} on {self.vertex_count} vertices")
+                raise ValueError(f"bad edge {edge} on {vertex_count} vertices")
             if edge in seen:
                 raise ValueError(f"duplicate edge {edge}")
             seen.add(edge)
-        object.__setattr__(self, "edges", tuple(canonical_order(self.edges)))
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "edges", tuple(canonical_order(edges)))
 
 
 def from_recovery_system(system: RecoverySystem) -> Hypergraph:
@@ -255,14 +253,26 @@ def fractional_matching_number(h: Hypergraph) -> tuple[Fraction, dict[Edge, Frac
     return value, dict(zip(h.edges, solution))
 
 
-@dataclass(frozen=True)
-class HypergraphStats:
-    nu: int
-    tau: int
-    mu_f: Fraction
-    witness_matching: tuple[Edge, ...]
-    witness_transversal: tuple[int, ...]
-    witness_fractional: dict[Edge, Fraction]
+class HypergraphStats(Frozen):
+    __slots__ = (
+        "nu", "tau", "mu_f", "witness_matching", "witness_transversal", "witness_fractional"
+    )
+
+    def __init__(
+        self,
+        nu: int,
+        tau: int,
+        mu_f: Fraction,
+        witness_matching: tuple[Edge, ...],
+        witness_transversal: tuple[int, ...],
+        witness_fractional: dict[Edge, Fraction],
+    ) -> None:
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "mu_f", mu_f)
+        object.__setattr__(self, "witness_matching", witness_matching)
+        object.__setattr__(self, "witness_transversal", witness_transversal)
+        object.__setattr__(self, "witness_fractional", witness_fractional)
 
     def to_json_dict(self) -> dict:
         return {

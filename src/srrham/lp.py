@@ -41,11 +41,11 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InvariantError, PivotLimitError
+from .fields import Frozen
 
 DEFAULT_PIVOT_LIMIT = 10 ** 6
 PIVOT_LIMIT_ENV = "SRRHAM_PIVOT_LIMIT"
@@ -53,32 +53,37 @@ PIVOT_LIMIT_ENV = "SRRHAM_PIVOT_LIMIT"
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Frozen):
     """The row coeffs . x <= rhs, whose rhs is never negative."""
 
-    coeffs: tuple[Fraction, ...]
-    rhs: Fraction
+    __slots__ = ("coeffs", "rhs")
 
-    def __post_init__(self) -> None:
-        if self.rhs < 0:
-            raise ValueError(f"negative right-hand side {self.rhs}")
+    def __init__(self, coeffs: tuple[Fraction, ...], rhs: Fraction) -> None:
+        if rhs < 0:
+            raise ValueError(f"negative right-hand side {rhs}")
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class LpProblem:
+class LpProblem(Frozen):
     """Maximize objective . x subject to constraints, x >= 0."""
 
-    num_vars: int
-    objective: tuple[Fraction, ...]
-    constraints: tuple[Constraint, ...]
+    __slots__ = ("num_vars", "objective", "constraints")
 
-    def __post_init__(self) -> None:
-        if len(self.objective) != self.num_vars:
+    def __init__(
+        self,
+        num_vars: int,
+        objective: tuple[Fraction, ...],
+        constraints: tuple[Constraint, ...],
+    ) -> None:
+        if len(objective) != num_vars:
             raise ValueError("objective length != num_vars")
-        for c in self.constraints:
-            if len(c.coeffs) != self.num_vars:
+        for c in constraints:
+            if len(c.coeffs) != num_vars:
                 raise ValueError("constraint coefficient length != num_vars")
+        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "constraints", constraints)
 
     @classmethod
     def maximize(

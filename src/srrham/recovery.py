@@ -13,21 +13,24 @@ column s_i is the special case y0 = e_{s_i}.  Sets are emitted in canonical
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .codes import Codeword, LinearCode, dual_codewords
-from .fields import FieldMatrix, in_span, rref
+from .fields import FieldMatrix, Frozen, in_span, rref
 
 RecoverySet = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RecoverySystem:
+class RecoverySystem(Frozen):
     """Per-symbol lists of minimum recovery sets for one code."""
 
-    code: LinearCode
-    per_symbol: tuple[tuple[RecoverySet, ...], ...]
+    __slots__ = ("code", "per_symbol")
+
+    def __init__(
+        self, code: LinearCode, per_symbol: tuple[tuple[RecoverySet, ...], ...]
+    ) -> None:
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "per_symbol", per_symbol)
 
     def total_sets(self) -> int:
         return sum(len(sets) for sets in self.per_symbol)
@@ -152,14 +155,24 @@ def validate_recovery_system(system: RecoverySystem) -> None:
                 raise ValueError(f"set {members} is not minimal for symbol {i}")
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(Frozen):
     """Counts describing the recovery system of a systematic Hamming code."""
 
-    cardinality_histogram: dict[int, int]
-    nonsingleton_per_symbol: tuple[int, ...]
-    incidence_range: tuple[int, int]
-    t_counts: Optional[dict[int, int]]
+    __slots__ = (
+        "cardinality_histogram", "nonsingleton_per_symbol", "incidence_range", "t_counts"
+    )
+
+    def __init__(
+        self,
+        cardinality_histogram: dict[int, int],
+        nonsingleton_per_symbol: tuple[int, ...],
+        incidence_range: tuple[int, int],
+        t_counts: Optional[dict[int, int]],
+    ) -> None:
+        object.__setattr__(self, "cardinality_histogram", cardinality_histogram)
+        object.__setattr__(self, "nonsingleton_per_symbol", nonsingleton_per_symbol)
+        object.__setattr__(self, "incidence_range", incidence_range)
+        object.__setattr__(self, "t_counts", t_counts)
 
 
 def structure_report(system: RecoverySystem) -> StructureReport:

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Iterable, Optional, Sequence
 
@@ -57,7 +56,7 @@ from . import hypergraph as hg
 from . import lp
 from .codes import LinearCode, odd_weight_column_count
 from .errors import SHOWN_BITS, EventLimitError, InvariantError, WorkLimitError
-from .fields import exact_rational, format_rational
+from .fields import Frozen, exact_rational, format_rational
 from .recovery import RecoverySystem, build_recovery_system, structure_report
 
 _ZERO = Fraction(0)
@@ -83,17 +82,17 @@ VERIFY_ENTRY_LIMIT = 2 * 10 ** 8
 WATERFILL_EVENT_LIMIT = 10_000
 
 
-@dataclass(frozen=True)
-class SrrInstance:
+class SrrInstance(Frozen):
     """A code's minimum recovery system and the uniform node capacity."""
 
-    system: RecoverySystem
-    capacity: Fraction = _ONE
+    __slots__ = ("system", "capacity")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "capacity", exact_rational(self.capacity))
-        if self.capacity <= 0:
+    def __init__(self, system: RecoverySystem, capacity: Fraction = _ONE) -> None:
+        capacity = exact_rational(capacity)
+        if capacity <= 0:
             raise ValueError("capacity must be positive")
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "capacity", capacity)
 
     @property
     def code(self) -> LinearCode:
@@ -116,11 +115,13 @@ class SrrInstance:
         )
 
 
-@dataclass
 class Allocation:
     """Weights lambda_{iR}: the share of demand i routed to recovery set R."""
 
-    weights: dict[hg.Edge, Fraction]
+    __slots__ = ("weights",)
+
+    def __init__(self, weights: dict[hg.Edge, Fraction]) -> None:
+        self.weights = weights
 
     def served(self, k: int) -> DemandVector:
         totals = [_ZERO] * k
@@ -299,14 +300,18 @@ def _rewarded_max(instance: SrrInstance, symbols: Collection[int]) -> Fraction:
     """Max of sum_{i in symbols} served_i, over the sets of ``symbols`` only.
 
     The other symbols' sets would carry weight 0: setting them to 0 keeps
-    any point feasible and its value, so the optimum is the full LP's.  A
-    binary code with two or more symbols, each with a unit column, takes the
-    certified closed form of ``_unit_column_subset_max``; any other case,
-    lambda* among them, solves the LP.
+    any point feasible and its value, so the optimum is the full LP's.  One
+    symbol with a unit column takes the certified lambda* of
+    ``_unit_column_star``, and a binary code with two or more symbols, each
+    with a unit column, the certified closed form of
+    ``_unit_column_subset_max``; any other case solves the LP.
     """
     code = instance.code
-    weights = [_ONE if i in symbols else _ZERO for i in range(1, code.k + 1)]
     units = [code.unit_columns[i - 1] for i in symbols]
+    if len(units) == 1 and units[0] is not None:
+        (i,) = symbols
+        return _unit_column_star(instance, i, units[0])
+    weights = [_ONE if i in symbols else _ZERO for i in range(1, code.k + 1)]
     if code.q == 2 and len(units) >= 2 and None not in units:
         return _unit_column_subset_max(instance, symbols, units, weights)
     value, allocation = _region_lp(instance, weights, symbols=symbols)
@@ -385,7 +390,7 @@ def _unit_column_star(instance: SrrInstance, i: int, s: int) -> Fraction:
 
 
 def lambda_star(instance: SrrInstance, i: int) -> Fraction:
-    """Largest servable rate for symbol i alone.
+    """Largest servable rate for symbol i alone, by ``_rewarded_max``.
 
     A symbol with a unit column gets the paper's closed form, certified by
     ``_unit_column_star``; any other is solved over its own recovery sets
@@ -395,10 +400,7 @@ def lambda_star(instance: SrrInstance, i: int) -> Fraction:
     k = instance.code.k
     if not 1 <= i <= k:
         raise ValueError(f"symbol {i} out of range 1..{k}")
-    s = instance.code.unit_columns[i - 1]
-    if s is None:
-        return _rewarded_max(instance, {i})
-    return _unit_column_star(instance, i, s)
+    return _rewarded_max(instance, {i})
 
 
 def lambda_star_vector(instance: SrrInstance) -> DemandVector:
@@ -420,14 +422,22 @@ def max_served(
     return value, allocation
 
 
-@dataclass(frozen=True)
-class SubsetBound:
+class SubsetBound(Frozen):
     """Predicted vs computed ceiling on a subset's total service rate."""
 
-    subset: tuple[int, ...]
-    column_sum: tuple[int, ...]
-    predicted: int
-    computed: Fraction
+    __slots__ = ("subset", "column_sum", "predicted", "computed")
+
+    def __init__(
+        self,
+        subset: tuple[int, ...],
+        column_sum: tuple[int, ...],
+        predicted: int,
+        computed: Fraction,
+    ) -> None:
+        object.__setattr__(self, "subset", subset)
+        object.__setattr__(self, "column_sum", column_sum)
+        object.__setattr__(self, "predicted", predicted)
+        object.__setattr__(self, "computed", computed)
 
     @property
     def tight(self) -> bool:
@@ -667,8 +677,8 @@ def check_verify_budget(code: LinearCode, samples: int) -> None:
     symbol has 2^(r-1) + 1 recovery sets, N = k (2^(r-1) + 1) in all, so
     mu_f is an n x N LP and each of the four ``max_served`` LPs is
     (n + k) x N; each symbol of a sampled subset adds n x (2^(r-1) + 1),
-    the sets that its cover check (or, alone, its LP) reads.  Other codes
-    sample no subsets and are not counted."""
+    the sets that its cover check reads.  Other codes sample no subsets and
+    are not counted."""
     if code.q != 2 or code.systematic_positions is None:
         return
     n, k, sets = code.n, code.k, 2 ** (code.r - 1) + 1

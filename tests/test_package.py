@@ -1,8 +1,10 @@
 """The package's import surface: one home per name, per-command imports.
 
 ``import srrham`` loads no submodule, each name is imported from the module
-that defines it, and each CLI command imports only the modules it runs.
-Losing that fails here, not as a slower start-up.
+that defines it, each CLI command imports only the modules it runs, and none
+loads ``dataclasses``.  Losing that fails here, not as a slower start-up.
+The plain value classes that stand in for dataclasses keep their equality,
+hashing, immutability and defaults.
 """
 
 import json
@@ -14,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import srrham
-from srrham import cli, codes, errors, lp, srr
+from srrham import cli, codes, errors, lp, recovery, srr
 from srrham import hypergraph as hg
 
 SRC = str(Path(srrham.__file__).resolve().parent.parent)
@@ -39,11 +41,14 @@ try:
 except SystemExit as exc:
     status = exc.code
 with open(report, "w") as fh:
-    json.dump([status, sorted(m for m in sys.modules if m.startswith("srrham"))], fh)
+    json.dump([status, sorted(
+        m for m in sys.modules if m.startswith("srrham") or m == "dataclasses"
+    )], fh)
 """
 
 
 def _loaded_by_cli(tmp_path, *argv: str) -> set:
+    """The srrham modules a command loads, and "dataclasses" if it loads that."""
     report = tmp_path / "loaded.json"
     _fresh(_LOADED_BY_CLI, str(report), json.dumps(argv))
     status, loaded = json.loads(report.read_text())
@@ -73,12 +78,13 @@ def test_code_commands_never_load_the_solver(tmp_path, code_file, argv):
     argv = [code_file if a is None else a for a in argv]
     loaded = _loaded_by_cli(tmp_path, *argv, "--out", str(tmp_path / "out.json"))
     assert "srrham.codes" in loaded
-    assert not loaded & SOLVER
+    assert not loaded & (SOLVER | {"dataclasses"})
 
 
 def test_check_loads_the_region_engine(tmp_path, code_file):
     loaded = _loaded_by_cli(tmp_path, "check", code_file, "--demand", "1,1,1,1")
     assert SOLVER <= loaded
+    assert "dataclasses" not in loaded
 
 
 def test_import_srrham_loads_nothing_until_used():
@@ -86,13 +92,13 @@ def test_import_srrham_loads_nothing_until_used():
         "import sys, srrham\n"
         "print(sorted(m for m in sys.modules if m.startswith('srrham')), srrham.__version__)\n"
         "from srrham.srr import membership\n"
-        "print(membership.__module__, 'srrham.srr' in sys.modules)\n"
+        "print(membership.__module__, 'srrham.srr' in sys.modules, 'dataclasses' in sys.modules)\n"
         "try:\n"
         "    from srrham import membership\n"
         "except ImportError:\n"
         "    print('ImportError')\n"
     )
-    assert out.splitlines() == ["['srrham'] 0.1.0", "srrham.srr True", "ImportError"]
+    assert out.splitlines() == ["['srrham'] 0.1.0", "srrham.srr True False", "ImportError"]
 
 
 def test_unknown_name_raises_attribute_error():
@@ -107,3 +113,36 @@ def test_exit_code_errors_keep_their_old_homes():
     assert errors.InvariantError is lp.InvariantError is srr.InvariantError is hg.InvariantError
     assert errors.EventLimitError is srr.EventLimitError
     assert errors.WorkLimitError is srr.WorkLimitError is codes.WorkLimitError
+
+
+def _h32() -> codes.LinearCode:
+    """Systematic Ham(3,2), built anew by each call (no cache)."""
+    return codes.import_generator(codes.systematic_hamming(3, 2).generator.to_lists(), 2)
+
+
+_BUILD = {
+    "LinearCode": _h32,
+    "FieldMatrix": lambda: _h32().generator,
+    "RecoverySystem": lambda: recovery.build_recovery_system(_h32()),
+    "SrrInstance": lambda: srr.SrrInstance(recovery.build_recovery_system(_h32())),
+    "SubsetBound": lambda: srr.subset_bound(srr.SrrInstance.for_code(_h32()), (1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(_BUILD))
+def test_values_compare_and_hash_by_fields_and_refuse_assignment(name):
+    """Two separate builds are equal and hash alike, so a code hits the
+    ``dual_codewords`` cache; no field can be assigned; an instance's
+    capacity defaults to 1 and must be positive."""
+    first, second = _BUILD[name](), _BUILD[name]()
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    for field in type(first).__slots__:
+        with pytest.raises(AttributeError, match=repr(field)):
+            setattr(first, field, getattr(second, field))
+    if name == "LinearCode":
+        assert codes.dual_codewords(first) is codes.dual_codewords(second)
+    if name == "SrrInstance":
+        assert first.capacity == 1
+        with pytest.raises(ValueError, match="capacity must be positive"):
+            srr.SrrInstance(first.system, capacity=0)

@@ -228,20 +228,21 @@ def test_lambda_star_closed_form_matches_the_lp(monkeypatch, r, q, layout):
     code, capacity = _route_code(r, q, layout)
     instance = srr.SrrInstance.for_code(code, capacity)
     units = {i for i, s in enumerate(code.unit_columns, start=1) if s is not None}
-    rewarded_max = srr._rewarded_max
+    region_lp = srr._region_lp
     reached = {}
 
-    def recorded(inst, symbols):
+    def recorded(inst, weights, symbols):
         (i,) = symbols
-        reached[i] = rewarded_max(inst, symbols)
-        return reached[i]
+        reached[i], allocation = region_lp(inst, weights, symbols=symbols)
+        return reached[i], allocation
 
-    monkeypatch.setattr(srr, "_rewarded_max", recorded)
+    monkeypatch.setattr(srr, "_region_lp", recorded)
     for i in range(1, code.k + 1):
         star = srr.lambda_star(instance, i)
         if i in units:
             assert i not in reached
-            assert star == rewarded_max(instance, {i})
+            weights = [F(j == i) for j in range(1, code.k + 1)]
+            assert star == region_lp(instance, weights, symbols={i})[0]
             assert star == capacity * F(2 * q - 1, q - 1)
         else:
             assert star == reached[i]
