@@ -228,7 +228,10 @@ def _cmd_slice(args) -> str:
             if "=" not in part:
                 raise ValueError(f"bad --fix assignment {part!r}")
             sym, val = part.split("=", 1)
-            fixed[_symbol_token(sym, k)] = parse_rational(val)
+            i = _symbol_token(sym, k)
+            if i in fixed:
+                raise ValueError(f"symbol {i} fixed more than once")
+            fixed[i] = parse_rational(val)
     overlap = set(axes) & set(fixed)
     if overlap:
         raise ValueError(f"symbols {sorted(overlap)} both axis and fixed")
@@ -239,18 +242,33 @@ def _cmd_slice(args) -> str:
     count = maximum // step + 1
     points = count ** len(axes)
     if points > srr.SLICE_POINT_LIMIT:
-        raise WorkLimitError(
-            "slice needs", "membership LPs", srr.SLICE_POINT_LIMIT, points
-        )
+        raise WorkLimitError("slice needs", "grid points", srr.SLICE_POINT_LIMIT, points)
     ticks = [step * t for t in range(count)]
     lines = [",".join([f"lambda_{i}" for i in range(1, k + 1)] + ["member"])]
     demand = [fixed.get(i, Fraction(0)) for i in range(1, k + 1)]
-    for point in itertools.product(ticks, repeat=len(axes)):
-        for axis, t in zip(axes, point):
-            demand[axis - 1] = t
-        member, _ = srr.membership(instance, tuple(demand))
-        row = [format_rational(x) for x in demand] + ["1" if member else "0"]
-        lines.append(",".join(row))
+    # The region is down-closed, so the members on each line along the last
+    # axis are a prefix, ending at tick index end[line] (-1 when empty), and
+    # that end is at most the end of every line one tick lower on another
+    # axis.  So each line is walked down from that bound to its first member.
+    *outer, last = axes
+    end: dict[tuple[int, ...], int] = {}
+    for line in itertools.product(range(count), repeat=len(outer)):
+        e = min(
+            (end[line[:j] + (p - 1,) + line[j + 1:]] for j, p in enumerate(line) if p),
+            default=count - 1,
+        )
+        for axis, index in zip(outer, line):
+            demand[axis - 1] = ticks[index]
+        while e >= 0:
+            demand[last - 1] = ticks[e]
+            if srr.membership(instance, tuple(demand))[0]:
+                break
+            e -= 1
+        end[line] = e
+        for index, tick in enumerate(ticks):
+            demand[last - 1] = tick
+            row = [format_rational(x) for x in demand] + ["1" if index <= e else "0"]
+            lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
 

@@ -6,33 +6,22 @@ becomes the hyperedge (i, R), the same (symbol, set) pair that keys an
 ``srr.Allocation``.  nu and tau are found by exact branch and bound (the
 claims we verify are equalities, so heuristics are useless); mu_f is the
 exact LP optimum.  A hypergraph keeps its edges in canonical (size, members,
-symbol) order, so values and witnesses are deterministic.  One packing check,
-``check_packing``, certifies every primal witness: the matching behind nu,
-the fractional matching behind mu_f, and every region allocation.  Its dual,
-``check_cover``, certifies node prices, the transversal behind tau among them.
+symbol) order, so values and witnesses are deterministic.  Every witness is
+re-checked by ``certify``: the matching behind nu and the fractional matching
+behind mu_f by ``check_packing``, the transversal behind tau, as node prices,
+by ``check_cover``.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
 from fractions import Fraction
-from typing import Container, Iterable, Mapping, Optional, Sequence
+from typing import Iterable
 
-from . import lp
+from . import certify, lp, recovery
 from .errors import InvariantError
 from .fields import Frozen, format_rational
-from .recovery import RecoverySet, RecoverySystem
 
-Edge = tuple[int, RecoverySet]
-
-
-def canonical_order(edges: Iterable[Edge]) -> list[Edge]:
-    """The edges sorted by (size, members, symbol): the one column order of
-    every packing LP in the package, since Bland's rule enters the first
-    improving column and small sets first reach the optimum in far fewer
-    pivots than a symbol-major order."""
-    return sorted(edges, key=lambda e: (len(e[1]), e[1], e[0]))
+Edge = tuple[int, recovery.RecoverySet]
 
 
 def _mask(members: Iterable[int]) -> int:
@@ -61,10 +50,10 @@ class Hypergraph(Frozen):
                 raise ValueError(f"duplicate edge {edge}")
             seen.add(edge)
         object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "edges", tuple(canonical_order(edges)))
+        object.__setattr__(self, "edges", tuple(recovery.canonical_order(edges)))
 
 
-def from_recovery_system(system: RecoverySystem) -> Hypergraph:
+def from_recovery_system(system: recovery.RecoverySystem) -> Hypergraph:
     return Hypergraph(system.code.n, tuple(system))
 
 
@@ -72,78 +61,6 @@ def partial_hypergraph(h: Hypergraph, labels: Iterable[int]) -> Hypergraph:
     """Keep only the edges recovering the given data symbols."""
     keep = set(labels)
     return Hypergraph(h.vertex_count, tuple(e for e in h.edges if e[0] in keep))
-
-
-def _over_lcm(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """Exact rationals as integers over the lcm of their denominators: that
-    lcm, and each value times it.  Raises ValueError on a float."""
-    if not all(isinstance(x, numbers.Rational) for x in values):
-        raise ValueError("expected exact rationals (ints or Fractions)")
-    scale = math.lcm(*(x.denominator for x in values))
-    return scale, [x.numerator * (scale // x.denominator) for x in values]
-
-
-def check_packing(
-    weights: Mapping[Edge, Fraction],
-    pool: Container[Edge],
-    n: int,
-    capacity: Fraction = 1,
-    value: Optional[Fraction] = None,
-    symbol_weights: Optional[Sequence[Fraction]] = None,
-) -> None:
-    """Exact check of a primal packing witness; raises ValueError unless
-    every (symbol, set) key is in ``pool``, every weight is nonnegative, no
-    node 1..n carries more than ``capacity``, and (when ``value`` is given)
-    sum of symbol_weights_i * w over the keys (default all 1) equals it."""
-    scale, (room, *ints) = _over_lcm([capacity, *weights.values()])
-    loads = [0] * n
-    worth = 0
-    for (i, members), w in zip(weights, ints):
-        if w < 0:
-            raise ValueError(f"negative weight on ({i}, {members})")
-        if (i, members) not in pool:
-            raise ValueError(f"{members} is not a recovery set of symbol {i}")
-        for v in members:
-            loads[v - 1] += w
-        if value is not None:
-            worth += w if symbol_weights is None else symbol_weights[i - 1] * w
-    for v, load in enumerate(loads, start=1):
-        if load > room:
-            raise ValueError(f"node {v} overloaded: {Fraction(load, scale)} > {capacity}")
-    if value is not None and worth != value * scale:
-        worth = Fraction(worth, scale)
-        raise ValueError(f"witness is worth {worth}, not the value {value}")
-
-
-def check_cover(
-    prices: Sequence[Fraction],
-    pairs: Iterable[Edge],
-    capacity: Fraction,
-    value: Fraction,
-    symbol_weights: Optional[Sequence[Fraction]] = None,
-) -> None:
-    """Exact check of a dual witness, node prices y_1..y_n; raises ValueError
-    unless every price is nonnegative, every listed (symbol i, set R) has
-    sum_{v in R} y_v >= symbol_weights_i (default 1), and capacity * sum_v y_v
-    equals ``value``.  By weak duality no packing of ``pairs`` under
-    ``capacity`` is then worth more than ``value``.  Prices are compared as
-    integers over the lcm of their denominators; a pair whose symbol weight
-    is at most 0 is covered by y >= 0 alone."""
-    scale, ints = _over_lcm(prices)
-    for v, y in enumerate(ints, start=1):
-        if y < 0:
-            raise ValueError(f"negative price {prices[v - 1]} on node {v}")
-    need: dict[int, int] = {}
-    for i, members in pairs:
-        if i not in need:
-            w = 1 if symbol_weights is None else symbol_weights[i - 1]
-            need[i] = math.ceil(scale * w)
-        if need[i] > 0 and sum(ints[v - 1] for v in members) < need[i]:
-            raise ValueError(f"prices on {members} do not cover symbol {i}'s weight")
-    if capacity * sum(ints) != value * scale:
-        raise ValueError(
-            f"prices cost {capacity * Fraction(sum(ints), scale)}, not the value {value}"
-        )
 
 
 def _greedy_cover(edge_masks: list[int], members: list[tuple[int, ...]]) -> list[int]:
@@ -301,10 +218,11 @@ def compute_stats(h: Hypergraph) -> HypergraphStats:
     mu_f, weights = fractional_matching_number(h)
     pool, n = set(h.edges), h.vertex_count
     prices = [transversal.count(v) for v in range(1, n + 1)]
+    packing, cover = certify.check_packing, certify.check_cover
     for name, check, args in (
-        ("matching", check_packing, (dict.fromkeys(matching, 1), pool, n, 1, nu)),
-        ("fractional", check_packing, (weights, pool, n, 1, mu_f)),
-        ("transversal", check_cover, (prices, h.edges, 1, tau)),
+        ("matching", packing, (dict.fromkeys(matching, 1), pool, n, 1, nu)),
+        ("fractional", packing, (weights, pool, n, 1, mu_f)),
+        ("transversal", cover, (prices, h.edges, 1, tau)),
     ):
         try:
             check(*args)

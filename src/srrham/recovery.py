@@ -13,12 +13,22 @@ column s_i is the special case y0 = e_{s_i}.  Sets are emitted in canonical
 from __future__ import annotations
 
 import bisect
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .codes import Codeword, LinearCode, dual_codewords
 from .fields import FieldMatrix, Frozen, in_span, rref
 
 RecoverySet = tuple[int, ...]
+
+
+def canonical_order(
+    pairs: Iterable[tuple[int, RecoverySet]]
+) -> list[tuple[int, RecoverySet]]:
+    """The (symbol, set) pairs sorted by (size, members, symbol): the one
+    column order of every packing LP in the package, since Bland's rule
+    enters the first improving column and small sets first reach the optimum
+    in far fewer pivots than a symbol-major order."""
+    return sorted(pairs, key=lambda e: (len(e[1]), e[1], e[0]))
 
 
 class RecoverySystem(Frozen):

@@ -27,7 +27,8 @@ A per-symbol maximum lambda_i* needs no LP at all when symbol i has a unit
 column s (a generator column equal to a scaled e_i): the paper's value
 mu (2q - 1)/(q - 1) comes with a primal allocation and dual node prices of
 that value, built in closed form and accepted by the solver-free checks
-``hg.check_packing`` and ``hg.check_cover``; equal values prove optimality.
+``certify.check_packing`` and ``certify.check_cover``; equal values prove
+optimality.
 Symbols without a unit column keep the restricted LP.  The sum-rate needs
 no LP either when every weight is one w > 0, every symbol has a unit column
 and q^(r-1) - 1 > r: ``_unit_column_sum_rate`` certifies k mu w by the same
@@ -52,12 +53,16 @@ import random
 from fractions import Fraction
 from typing import Collection, Iterable, Optional, Sequence
 
-from . import hypergraph as hg
-from . import lp
+from . import certify, lp
 from .codes import LinearCode, odd_weight_column_count
 from .errors import SHOWN_BITS, EventLimitError, InvariantError, WorkLimitError
 from .fields import Frozen, exact_rational, format_rational
-from .recovery import RecoverySystem, build_recovery_system, structure_report
+from .recovery import (
+    RecoverySystem,
+    build_recovery_system,
+    canonical_order,
+    structure_report,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -69,8 +74,9 @@ DemandVector = tuple[Fraction, ...]
 # so this limit stops it before it would run past about 8 s.
 M3_PAIR_LIMIT = 5 * 10 ** 7
 
-# A membership LP takes about 1 ms on Ham(3,2) and 12 ms on Ham(4,2) (on that
-# machine), so a slice grid of this many points runs for 2 to 20 minutes.
+# A slice grid writes one row per point.  Its membership LPs are far fewer
+# (at most 2c - 1 on a c x c section), at about 1 ms on Ham(3,2) and 12 ms on
+# Ham(4,2) each (on that machine), so this limit bounds rows more than LPs.
 SLICE_POINT_LIMIT = 10 ** 5
 
 # verify costs about 1.6 us per entry that ``check_verify_budget`` counts on
@@ -104,13 +110,13 @@ class SrrInstance(Frozen):
 
     def variables(
         self, symbols: Optional[Collection[int]] = None
-    ) -> list[hg.Edge]:
+    ) -> list[certify.Pair]:
         """The (symbol, recovery set) columns of every LP here, keeping only
         the sets of ``symbols`` when it is given, in the hypergraph's one
-        canonical (size, members, symbol) order, ``hg.canonical_order``:
+        canonical (size, members, symbol) order, ``canonical_order``:
         size-first columns take a fraction of the pivots of a symbol-major
         order, and mu_f and the sum-rate become one LP with one vertex."""
-        return hg.canonical_order(
+        return canonical_order(
             e for e in self.system if symbols is None or e[0] in symbols
         )
 
@@ -120,7 +126,7 @@ class Allocation:
 
     __slots__ = ("weights",)
 
-    def __init__(self, weights: dict[hg.Edge, Fraction]) -> None:
+    def __init__(self, weights: dict[certify.Pair, Fraction]) -> None:
         self.weights = weights
 
     def served(self, k: int) -> DemandVector:
@@ -140,15 +146,15 @@ class Allocation:
     ) -> None:
         """Exact re-check of an allocation; raises on violation.
 
-        ``hg.check_packing`` checks the sets, the capacities and the ``value``
-        under ``weights`` (default all 1); service must also equal ``demand``
-        and stay within ``ceiling``.
+        ``certify.check_packing`` checks the sets, the capacities and the
+        ``value`` under ``weights`` (default all 1), and its served totals
+        must also equal ``demand`` and stay within ``ceiling``.
         """
         code = instance.code
-        hg.check_packing(
+        totals = certify.check_packing(
             self.weights, instance.system, code.n, instance.capacity, value, weights
         )
-        got = self.served(code.k)
+        got = tuple(totals.get(i, _ZERO) for i in range(1, code.k + 1))
         if demand is not None and got != tuple(demand):
             raise ValueError(f"served {got} != demand {tuple(demand)}")
         if ceiling is not None and any(s > c for s, c in zip(got, ceiling)):
@@ -173,14 +179,14 @@ def _certify(allocation: Allocation, instance: SrrInstance, *args, **kwargs) -> 
 
 def _certify_prices(
     prices: Sequence[Fraction],
-    pairs: Iterable[hg.Edge],
+    pairs: Iterable[certify.Pair],
     capacity: Fraction,
     value: Fraction,
     weights: Sequence[Fraction],
 ) -> None:
-    """``hg.check_cover`` for node prices computed here, where failing is a bug."""
+    """``certify.check_cover`` for prices computed here, where failing is a bug."""
     try:
-        hg.check_cover(prices, pairs, capacity, value, weights)
+        certify.check_cover(prices, pairs, capacity, value, weights)
     except ValueError as exc:
         raise InvariantError(f"node prices failed validation: {exc}") from exc
 
@@ -517,7 +523,7 @@ def waterfill(
     k, n = code.k, code.n
     loads = [_ZERO] * (n + 1)
     residual = list(demand)
-    weights: dict[hg.Edge, Fraction] = {}
+    weights: dict[certify.Pair, Fraction] = {}
 
     for i in range(1, k + 1):
         s = code.systematic_positions[i - 1]
@@ -772,6 +778,8 @@ def verify_report(
         skipped.append("recovery structure laws (systematic codes only)")
 
     # Hypergraph numbers.
+    from . import hypergraph as hg
+
     graph = hg.from_recovery_system(instance.system)
     stats = hg.compute_stats(graph)
     add(

@@ -138,6 +138,48 @@ def node_loads(weights: dict, n: int) -> list[Fraction]:
     return loads
 
 
+def packing_fault(
+    weights: dict, pool, n: int, capacity=1, value=None, symbol_weights=None
+) -> Optional[str]:
+    """The message ``certify.check_packing`` must raise on this witness,
+    found with Fraction sums in the order the check reads the witness, or
+    None when the witness is a packing worth ``value``."""
+    for (i, members), w in weights.items():
+        if w < 0:
+            return f"negative weight on ({i}, {members})"
+        if (i, members) not in pool:
+            return f"{members} is not a recovery set of symbol {i}"
+    for v, load in enumerate(node_loads(weights, n), start=1):
+        if load > capacity:
+            return f"node {v} overloaded: {load} > {capacity}"
+    if value is not None:
+        worth = sum(
+            (w if symbol_weights is None else symbol_weights[i - 1] * w
+             for (i, _), w in weights.items()),
+            _ZERO,
+        )
+        if worth != value:
+            return f"witness is worth {worth}, not the value {value}"
+    return None
+
+
+def cover_fault(prices, pairs, capacity, value, symbol_weights=None) -> Optional[str]:
+    """The message ``certify.check_cover`` must raise on these node prices,
+    found with Fraction sums in the order the check reads them, or None when
+    they cover every pair's symbol weight (default 1) and cost ``value``."""
+    for v, y in enumerate(prices, start=1):
+        if y < 0:
+            return f"negative price {y} on node {v}"
+    for i, members in pairs:
+        need = 1 if symbol_weights is None else symbol_weights[i - 1]
+        if sum((Fraction(prices[v - 1]) for v in members), _ZERO) < need:
+            return f"prices on {members} do not cover symbol {i}'s weight"
+    cost = capacity * sum(prices, _ZERO)
+    if cost != value:
+        return f"prices cost {cost}, not the value {value}"
+    return None
+
+
 def min_weight(matrix: FieldMatrix) -> int:
     """Minimum Hamming weight over all nonzero vectors in the row space."""
     q = matrix.q

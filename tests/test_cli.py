@@ -1,12 +1,14 @@
 import argparse
 import hashlib
+import itertools
 import json
 import time
 import types
+from fractions import Fraction
 
 import pytest
 
-from srrham import cli, codes, lp, srr
+from srrham import certify, cli, codes, lp, srr
 from srrham import hypergraph as hg
 
 from conftest import NONSYS_G, ZERO_COLUMN_G
@@ -239,6 +241,8 @@ def test_gen_rejects_a_q_that_is_not_prime(capsys, q):
          "bad --fix assignment ''"),
         (["slice", "{path}", "--axes", "a,b", "--fix", "a=1", "--max", "1", "--step", "1"],
          "symbols [1] both axis and fixed"),
+        (["slice", "{path}", "--axes", "a", "--fix", "b=1,2=0", "--max", "1", "--step", "1"],
+         "symbol 2 fixed more than once"),
         (["slice", "{path}", "--axes", "a,b", "--max", "1", "--step", "0"],
          "--step must be positive and --max nonnegative"),
         (["import", "{ragged}"], "ragged matrix"),
@@ -247,7 +251,7 @@ def test_gen_rejects_a_q_that_is_not_prime(capsys, q):
     ],
     ids=["capacity-0", "weights-length", "symbol-range", "symbol-empty", "symbols-empty",
          "verify-no-code", "verify-empty-code", "gen-empty-out", "slice-same-axes",
-         "slice-bad-fix", "slice-empty-fix", "slice-axis-fixed",
+         "slice-bad-fix", "slice-empty-fix", "slice-axis-fixed", "slice-fixed-twice",
          "slice-step-0", "import-ragged", "import-repeated-h-row", "import-zero-column"],
 )
 def test_input_error_exits_2_with_its_message(tmp_path, capsys, argv, message):
@@ -468,6 +472,75 @@ def test_slice_command(tmp_path, capsys):
         "2,0,0,1,1",
         "4,0,0,1,0",
     ]
+
+
+def test_slice_fixing_a_symbol_twice_exits_2(tmp_path, capsys):
+    """A repeated --fix symbol used to keep its last value silently."""
+    path = gen_file(tmp_path, "gen", "-r", "3", "-q", "2")
+    rc, out, err = run_cli(
+        capsys, "slice", path, "--axes", "a", "--fix", "b=1,b=0", "--max", "1", "--step", "1"
+    )
+    assert (rc, out) == (2, "")
+    assert err == "error: symbol 2 fixed more than once\n"
+
+
+def _slice_by_point(path, axes, fixed, maximum, step):
+    """The slice CSV from one ``srr.membership`` call per grid point."""
+    instance = srr.SrrInstance.for_code(cli._load_code(path))
+    k = instance.code.k
+    ticks = [step * t for t in range(maximum // step + 1)]
+    lines = [",".join([f"lambda_{i}" for i in range(1, k + 1)] + ["member"])]
+    for point in itertools.product(ticks, repeat=len(axes)):
+        demand = [fixed.get(i, Fraction(0)) for i in range(1, k + 1)]
+        for axis, t in zip(axes, point):
+            demand[axis - 1] = t
+        member, _ = srr.membership(instance, demand)
+        lines.append(",".join([str(x) for x in demand] + [str(int(member))]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "gen,axes,fixed,maximum,step",
+    [
+        (["-r", "3", "-q", "2"], [1, 2, 3], {4: Fraction(1, 2)}, 2, Fraction(1, 2)),
+        (["-r", "3", "-q", "2"], [3], {1: 1, 2: Fraction(1, 2)}, 4, Fraction(1, 4)),
+        (["-r", "4", "-q", "2", "--systematic"], [2, 1], {3: 1}, 3, Fraction(1, 2)),
+        (["-r", "4", "-q", "2", "--systematic"], [1, 2], {}, 3, Fraction(1, 2)),
+        (["-r", "3", "-q", "3"], [1, 4], {2: Fraction(1, 2), 5: 1}, 2, Fraction(1, 3)),
+    ],
+    ids=["h32-3axes", "h32-1axis", "sys42-2axes-fix", "sys42-2axes", "h33-2axes-fix"],
+)
+def test_slice_staircase_matches_membership_per_point(
+    tmp_path, capsys, gen, axes, fixed, maximum, step
+):
+    """The staircase walk prints the bytes of a membership LP per point."""
+    path = gen_file(tmp_path, "gen", *gen)
+    argv = ["slice", path, "--axes", ",".join(map(str, axes)),
+            "--max", str(maximum), "--step", str(step)]
+    if fixed:
+        argv += ["--fix", ",".join(f"{i}={v}" for i, v in fixed.items())]
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    assert out == _slice_by_point(path, axes, fixed, maximum, step)
+
+
+@pytest.mark.parametrize("fix", [None, "3=2", "3=4"])
+def test_slice_section_takes_at_most_2c_minus_1_memberships(
+    tmp_path, capsys, monkeypatch, fix
+):
+    path = gen_file(tmp_path, "gen", "-r", "4", "-q", "2", "--systematic")
+    membership, calls = srr.membership, []
+
+    def counted(instance, demand):
+        calls.append(demand)
+        return membership(instance, demand)
+
+    monkeypatch.setattr(srr, "membership", counted)
+    argv = ["slice", path, "--axes", "1,2", "--max", "3", "--step", "1/2"]
+    rc, out, _ = run_cli(capsys, *argv, *(["--fix", fix] if fix else []))
+    c = 7
+    assert rc == 0 and len(out.splitlines()) == 1 + c * c
+    assert 0 < len(calls) <= 2 * c - 1
 
 
 def test_empty_capacity_exits_2(tmp_path, capsys):
@@ -739,7 +812,7 @@ def test_slice_over_work_limit_exits_3_before_building_ticks(tmp_path, capsys):
     assert (rc, out) == (3, "")
     points = 10 ** 9 + 1
     assert (
-        f"slice needs {points} membership LPs, over the limit of "
+        f"slice needs {points} grid points, over the limit of "
         f"{srr.SLICE_POINT_LIMIT}" in err
     )
 
@@ -772,7 +845,7 @@ def test_code_over_entry_limit_exits_3_before_building(capsys, command):
         (["m3", "-r", "20000"], "m3 at r=20000 needs at least 2^19999 pair checks"),
         (["m3", "-r", "10000000"], "m3 at r=10000000 needs at least 2^9999999 pair"),
         (["slice", "{path}", "--axes", "a", "--max", "1", "--step", "1/1" + "0" * 2200],
-         f"slice needs at least 2^{(10 ** 2200 + 1).bit_length() - 1} membership LPs"),
+         f"slice needs at least 2^{(10 ** 2200 + 1).bit_length() - 1} grid points"),
     ],
     ids=["gen", "gen-huge-r", "verify", "gen-huge-q", "verify-huge-q",
          "gen-huge-composite-q", "m3", "m3-huge-r", "slice"],
@@ -879,38 +952,38 @@ def _overstated_matching(monkeypatch):
 
 
 def _overstated_cover(monkeypatch):
-    cover = hg.check_cover
+    cover = certify.check_cover
 
     def overstated(prices, pairs, capacity, value, symbol_weights=None):
         return cover(prices, pairs, capacity, value + 1, symbol_weights)
 
-    monkeypatch.setattr(hg, "check_cover", overstated)
+    monkeypatch.setattr(certify, "check_cover", overstated)
 
 
 def _zeroed_price(monkeypatch):
     """The first positive node price drops to 0 before the cover check."""
-    cover = hg.check_cover
+    cover = certify.check_cover
 
     def zeroed(prices, *args):
         prices = list(prices)
         prices[next(v for v, y in enumerate(prices) if y)] = 0
         return cover(prices, *args)
 
-    monkeypatch.setattr(hg, "check_cover", zeroed)
+    monkeypatch.setattr(certify, "check_cover", zeroed)
 
 
 def _zeroed_shared_price(monkeypatch):
     """The last positive node price drops to 0 before the cover check: for
     symbols a and b of Ham(3,2), the price on node 6, which every free set
     holds."""
-    cover = hg.check_cover
+    cover = certify.check_cover
 
     def zeroed(prices, *args):
         prices = list(prices)
         prices[max(v for v, y in enumerate(prices) if y)] = 0
         return cover(prices, *args)
 
-    monkeypatch.setattr(hg, "check_cover", zeroed)
+    monkeypatch.setattr(certify, "check_cover", zeroed)
 
 
 def _dropped_transversal_vertex(monkeypatch):

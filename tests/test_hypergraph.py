@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srrham import codes, recovery
+from srrham import certify, codes, recovery, srr
 from srrham import hypergraph as hg
 
-from oracles import node_loads
+from oracles import cover_fault, node_loads, packing_fault
 
 
 def test_edge_and_graph_validation():
@@ -61,7 +61,7 @@ def test_matching_number_worked_values(classic32_graph, nonsys_graph):
     for graph, expected in ((classic32_graph, 5), (nonsys_graph, 3)):
         nu, witness = hg.matching_number(graph)
         assert nu == expected
-        hg.check_packing(dict.fromkeys(witness, 1), set(graph.edges), 7, value=nu)
+        certify.check_packing(dict.fromkeys(witness, 1), set(graph.edges), 7, value=nu)
 
 
 def test_matching_single_edge():
@@ -84,7 +84,7 @@ def test_search_improves_on_the_greedy_matching():
 def test_transversal_worked_values(classic32_graph, nonsys_graph, sys42_graph):
     def check_transversal(graph, vertices, tau):
         prices = [vertices.count(v) for v in range(1, graph.vertex_count + 1)]
-        hg.check_cover(prices, graph.edges, 1, tau)
+        certify.check_cover(prices, graph.edges, 1, tau)
 
     tau, witness = hg.transversal_number(nonsys_graph)
     assert tau == 3
@@ -103,7 +103,7 @@ def test_transversal_worked_values(classic32_graph, nonsys_graph, sys42_graph):
 def test_fractional_matching_worked_values(classic32_graph, nonsys_graph):
     value, weights = hg.fractional_matching_number(classic32_graph)
     assert value == 5
-    hg.check_packing(weights, set(classic32_graph.edges), 7, value=value)
+    certify.check_packing(weights, set(classic32_graph.edges), 7, value=value)
     part = hg.partial_hypergraph(nonsys_graph, [2])
     value, weights = hg.fractional_matching_number(part)
     assert value == Fraction(7, 3)
@@ -192,9 +192,9 @@ def test_check_packing_rejects_each_wrong_witness(classic32_graph):
     ]
     for weights, value, message in cases:
         with pytest.raises(ValueError, match=message):
-            hg.check_packing(weights, pool, n, value=value)
-    hg.check_packing(matching, pool, n, value=stats.nu)
-    hg.check_packing(fractional, pool, n, value=stats.mu_f)
+            certify.check_packing(weights, pool, n, value=value)
+    certify.check_packing(matching, pool, n, value=stats.nu)
+    certify.check_packing(fractional, pool, n, value=stats.mu_f)
 
 
 _NODES = 5
@@ -224,7 +224,7 @@ def test_integer_check_packing_agrees_with_fraction_loads(data):
 
     def accepts(**kwargs):
         try:
-            hg.check_packing(weights, set(keys), _NODES, capacity, **kwargs)
+            certify.check_packing(weights, set(keys), _NODES, capacity, **kwargs)
         except ValueError:
             return False
         return True
@@ -233,13 +233,18 @@ def test_integer_check_packing_agrees_with_fraction_loads(data):
     assert accepts() == fits
     assert accepts(value=worth, symbol_weights=symbol_weights) == fits
     assert not accepts(value=worth + nudge, symbol_weights=symbol_weights)
+    if fits:
+        totals = certify.check_packing(weights, set(keys), _NODES, capacity)
+        served = srr.Allocation(weights).served(3)
+        assert tuple(totals.get(i, 0) for i in (1, 2, 3)) == served
+        assert all(type(x) is Fraction for x in totals.values())
 
 
 def test_witness_checks_reject_floats():
     with pytest.raises(ValueError, match="exact rational"):
-        hg.check_packing({(1, (1,)): 0.5}, {(1, (1,))}, 1)
+        certify.check_packing({(1, (1,)): 0.5}, {(1, (1,))}, 1)
     with pytest.raises(ValueError, match="exact rational"):
-        hg.check_cover([0.5], [(1, (1,))], 1, Fraction(1, 2))
+        certify.check_cover([0.5], [(1, (1,))], 1, Fraction(1, 2))
 
 
 def test_check_cover_accepts_the_unit_column_prices(classic32_instance):
@@ -248,10 +253,10 @@ def test_check_cover_accepts_the_unit_column_prices(classic32_instance):
     prices = [Fraction(1, 3)] * 7
     prices[2] = Fraction(1)
     weights = [1, 0, 0, 0]
-    hg.check_cover(prices, pairs, 1, 3, weights)
+    certify.check_cover(prices, pairs, 1, 3, weights)
     # Capacity scales the value; integer prices need no Fraction.
-    hg.check_cover(prices, pairs, Fraction(3, 2), Fraction(9, 2), weights)
-    hg.check_cover([1] * 7, pairs, 1, 7)
+    certify.check_cover(prices, pairs, Fraction(3, 2), Fraction(9, 2), weights)
+    certify.check_cover([1] * 7, pairs, 1, 7)
 
 
 def test_check_cover_rejects_each_corruption(classic32_instance):
@@ -277,4 +282,89 @@ def test_check_cover_rejects_each_corruption(classic32_instance):
     ]
     for bad_prices, value, symbol_weights, message in cases:
         with pytest.raises(ValueError, match=message):
-            hg.check_cover(bad_prices, pairs, 1, value, symbol_weights)
+            certify.check_cover(bad_prices, pairs, 1, value, symbol_weights)
+
+
+def _raised(check, *args):
+    """The message of the ValueError that ``check(*args)`` raises, or None."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+_PRICES = st.fractions(min_value=0, max_value=2, max_denominator=12) | st.integers(0, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_integer_check_cover_agrees_with_fraction_prices(data):
+    """check_cover raises exactly the message of the Fraction reference, and
+    passes where that finds no fault: random prices (now and then one
+    negative), pairs and symbol weights (some at most 0), and values at the
+    prices' cost or 1/den off it."""
+    prices = data.draw(st.lists(_PRICES, min_size=_NODES, max_size=_NODES))
+    nudge = Fraction(1, data.draw(st.integers(1, 30)))
+    if data.draw(st.integers(0, 4)) == 0:
+        prices[data.draw(st.integers(0, _NODES - 1))] = -nudge
+    pairs = data.draw(
+        st.lists(st.tuples(st.integers(1, 3), _SETS.map(lambda m: tuple(sorted(m)))),
+                 max_size=8)
+    )
+    symbol_weights = data.draw(
+        st.none()
+        | st.lists(st.fractions(min_value=-1, max_value=2, max_denominator=12),
+                   min_size=3, max_size=3)
+    )
+    capacity = data.draw(
+        st.fractions(min_value=Fraction(1, 12), max_value=3, max_denominator=12)
+    )
+    cost = capacity * sum(prices)
+    value = data.draw(st.sampled_from([cost, cost - nudge, cost + nudge]))
+    fault = cover_fault(prices, pairs, capacity, value, symbol_weights)
+    got = _raised(certify.check_cover, prices, pairs, capacity, value, symbol_weights)
+    assert got == fault
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_one_corruption_raises_the_reference_message(classic32_instance, data):
+    """The lambda_1* certificate of classic Ham(3,2) (value 3) passes both
+    checks; with one price, packing weight, symbol weight or set corrupted,
+    each check raises exactly the message of its Fraction reference."""
+    system, n = classic32_instance.system, classic32_instance.code.n
+    s = classic32_instance.code.unit_columns[0]
+    packing = {(1, m): Fraction(1, 1 if m == (s,) else 2) for m in system.per_symbol[0]}
+    prices = [Fraction(1, 1 if v == s else 3) for v in range(1, n + 1)]
+    pairs, pool = list(system), set(system)
+    weights = [Fraction(1), 0, 0, 0]
+
+    def faults():
+        packed = _raised(certify.check_packing, packing, pool, n, 1, 3, weights)
+        assert packed == packing_fault(packing, pool, n, 1, 3, weights)
+        covered = _raised(certify.check_cover, prices, pairs, 1, 3, weights)
+        assert covered == cover_fault(prices, pairs, 1, 3, weights)
+        return packed, covered
+
+    assert faults() == (None, None)
+    nudge = Fraction(data.draw(st.sampled_from([-1, 1])), data.draw(st.integers(1, 12)))
+    what = data.draw(st.sampled_from(["price", "weight", "symbol weight", "set"]))
+    keys = sorted(packing)
+    if what == "price":
+        prices[data.draw(st.integers(0, n - 1))] += nudge
+    elif what == "weight":
+        packing[data.draw(st.sampled_from(keys))] += nudge
+    elif what == "symbol weight":
+        weights[data.draw(st.integers(0, 3))] += nudge
+    else:
+        members = tuple(sorted(data.draw(st.lists(st.integers(1, n), min_size=1,
+                                                  max_size=n, unique=True))))
+        j = data.draw(st.integers(0, len(pairs) - 1))
+        pairs[j] = (pairs[j][0], members)
+        packing[(1, members)] = packing.pop(data.draw(st.sampled_from(keys)))
+    packed, covered = faults()
+    if what == "price":
+        assert covered is not None
+    if what == "weight":
+        assert packed is not None

@@ -1,7 +1,8 @@
 """The package's import surface: one home per name, per-command imports.
 
 ``import srrham`` loads no submodule, each name is imported from the module
-that defines it, each CLI command imports only the modules it runs, and none
+that defines it, each CLI command imports only the modules it runs (so only
+``stats`` and ``verify`` load the hypergraph's branch and bound), and none
 loads ``dataclasses``.  Losing that fails here, not as a slower start-up.
 The plain value classes that stand in for dataclasses keep their equality,
 hashing, immutability and defaults.
@@ -21,6 +22,7 @@ from srrham import hypergraph as hg
 
 SRC = str(Path(srrham.__file__).resolve().parent.parent)
 SOLVER = {"srrham.lp", "srrham.hypergraph", "srrham.srr"}
+REGION = {"srrham.certify", "srrham.lp", "srrham.srr"}
 
 
 def _fresh(script: str, *args: str) -> str:
@@ -83,8 +85,45 @@ def test_code_commands_never_load_the_solver(tmp_path, code_file, argv):
 
 def test_check_loads_the_region_engine(tmp_path, code_file):
     loaded = _loaded_by_cli(tmp_path, "check", code_file, "--demand", "1,1,1,1")
-    assert SOLVER <= loaded
-    assert "dataclasses" not in loaded
+    assert REGION <= loaded
+    assert not loaded & {"srrham.hypergraph", "dataclasses"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--demand", "1,1,1,1"],
+        ["max", "--weights", "1,2,1,1"],
+        ["lambda-star"],
+        ["delta"],
+        ["subset", "--symbols", "a,b"],
+        ["waterfill", "--demand", "3,0,0,0"],
+        ["slice", "--axes", "a,b", "--max", "1", "--step", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_region_commands_never_load_the_branch_and_bound(tmp_path, code_file, argv):
+    """Region answers are certified by ``certify``; only ``stats`` and
+    ``verify`` report nu and tau, so only they load ``hypergraph``."""
+    loaded = _loaded_by_cli(tmp_path, argv[0], code_file, *argv[1:])
+    assert REGION <= loaded
+    assert "srrham.hypergraph" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv", [["stats", None], ["verify", "-r", "3", "-q", "2"]], ids=["stats", "verify"]
+)
+def test_stats_and_verify_load_the_hypergraph(tmp_path, code_file, argv):
+    argv = [code_file if a is None else a for a in argv]
+    assert "srrham.hypergraph" in _loaded_by_cli(tmp_path, *argv)
+
+
+def test_certify_loads_neither_the_solver_nor_the_recovery_system():
+    out = _fresh(
+        "import json, sys, srrham.certify\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('srrham')]))\n"
+    )
+    assert set(json.loads(out)) <= {"srrham", "srrham.certify", "srrham.fields"}
 
 
 def test_import_srrham_loads_nothing_until_used():
